@@ -15,7 +15,8 @@ for byte):
 Sections: `field` (rationals | prime p), `rank` m, `vars` (variable
 names in order), `symbols` (transcendental residue symbols in
 discovery order; omitted when none), `budgets` (any of max_steps,
-max_terms, trunc_degree, lex_ceiling; omitted when absent), then one
+max_terms, trunc_degree, lex_ceiling; omitted when absent; trunc_degree
+only sets the degree of the polynomials `verify` samples), then one
 `image` line per variable.  Blank lines and `#` comments are accepted
 on input and dropped by the serializer, so canonical files carry
 neither.
@@ -180,8 +181,7 @@ def _parse_family_coeff(text, tower):
         if factor == "i":
             e += 1
             continue
-        base, caret, exp_text = factor.partition("^")
-        base, exp_text = base.strip(), exp_text.strip()
+        base, caret, exp_text = _split_last_power(factor)
         if caret and base == "i":
             try:
                 e += int(exp_text)
@@ -204,6 +204,22 @@ def _parse_family_coeff(text, tower):
                 continue
         c = c * tower.parse(factor)
     return c, e, r
+
+
+def _split_last_power(factor):
+    """(base, "^", exponent) split at the last `^` outside parentheses,
+    so that `(3*u3^2)^i` has the base `(3*u3^2)`; (factor, "", "")
+    when there is none."""
+    depth = 0
+    for k in range(len(factor) - 1, -1, -1):
+        ch = factor[k]
+        if ch == ")":
+            depth += 1
+        elif ch == "(":
+            depth -= 1
+        elif ch == "^" and depth == 0:
+            return factor[:k].strip(), "^", factor[k + 1:].strip()
+    return factor, "", ""
 
 
 def format_stream(stream):
@@ -791,10 +807,8 @@ def cmd_value(args):
     spec = doc.spec
     poly = parse_poly(args.expr, spec.tower, spec.names)
     try:
-        total = HahnStream(())
-        for exps, co in poly.items():
-            part = hahn.monomial_image(exps, spec.images, spec.budget)
-            total = hahn.add(total, hahn.scale(part, co))
+        total = hahn.eval_poly(poly, lambda exps: hahn.monomial_image(
+            exps, spec.images, spec.budget))
         value = hahn.nu_t(total, spec.budget)
     except InconclusiveError as exc:
         if args.json:
@@ -873,7 +887,8 @@ def _build_parser():
         p.add_argument("--max-terms", type=int, default=None,
                        help="stream enumeration term budget")
         p.add_argument("--trunc-degree", type=int, default=None,
-                       help="verification sample degree")
+                       help="degree of the random polynomials that "
+                            "verify samples (sets nothing else)")
         p.add_argument("--lex-ceiling", default=None, metavar="(a,..)",
                        help="reject terms above this exponent")
 

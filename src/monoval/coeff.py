@@ -3,13 +3,22 @@
 The ground field k is either Q or a prime field F_p.  Residues live in
 a rational function field k(w_1,...,w_d) ("tower").  A ground scalar
 times a Laurent monomial in the symbols is held as the scalar and an
-exponent tuple, so that the products, powers and quotients that make
-up most coefficient work never run a polynomial gcd.  Every other
-element is represented on top of sympy's sparse multivariate FracField
-with one extra canonical convention: the denominator's leading
-coefficient (lex order on the symbols) is always 1.  Either way equal
-elements have identical representations and syntactic equality is
-field equality.
+exponent tuple.  Every other element is represented on top of sympy's
+sparse multivariate FracField with one extra canonical convention: the
+denominator's leading coefficient (lex order on the symbols) is always
+1.  Either way equal elements have identical representations and
+syntactic equality is field equality.
+
+Products take one of three routes:
+
+* monomial x monomial: multiply the scalars, add the exponents;
+* fraction x monomial: shift the reduced numerator and denominator by
+  monomials read off their exponent minima, without a polynomial gcd
+  (see `TowerElem._times_mono`);
+* fraction x fraction: sympy's FracField product, which cancels by a
+  gcd.
+
+Only the last, and sums that make a real polynomial, pay for a gcd.
 
 Subfield membership is the symbol-subset test: under the engine's
 standing purity assumption the adjoined symbols are algebraically
@@ -268,12 +277,44 @@ class TowerElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.scalar is not None and other.scalar is not None:
-            return self.tower._mono(self.scalar * other.scalar,
-                                    tuple(map(add, self.exps, other.exps)))
+        if self.scalar is not None:
+            if other.scalar is not None:
+                return self.tower._mono(self.scalar * other.scalar,
+                                        tuple(map(add, self.exps, other.exps)))
+            return other._times_mono(self)
+        if other.scalar is not None:
+            return self._times_mono(other)
         return self.tower._make(self.raw * other.raw)
 
     __rmul__ = __mul__
+
+    def _times_mono(self, mono):
+        """Product of this fraction num/den with the scalar-monomial
+        s * x^P / x^N, reduced without a polynomial gcd: since num and
+        den are coprime, the only common factors are the monomials
+        g1 = gcd(x^P, den) and g2 = gcd(x^N, num), read off the
+        exponent minima.  The result is (s * num/g2 * x^P/g1) /
+        (den/g1 * x^N/g2); dividing or multiplying by monomials keeps
+        the denominator monic, and a fraction times a unit of the
+        monomial group is never a scalar-monomial."""
+        if not mono.scalar:
+            return self.tower._zero
+        num, den = self._frac.numer, self._frac.denom
+        num_shift, den_shift = [], []
+        for e, n_min, d_min in zip(mono.exps, map(min, zip(*num)),
+                                   map(min, zip(*den))):
+            if e > 0:
+                g1 = min(e, d_min)
+                num_shift.append(e - g1)
+                den_shift.append(-g1)
+            else:
+                g2 = min(-e, n_min)
+                num_shift.append(-g2)
+                den_shift.append(-e - g2)
+        frac = self.tower._field.raw_new(
+            _times_monomial(num, num_shift).mul_ground(mono.scalar),
+            _times_monomial(den, den_shift))
+        return TowerElem(self.tower, None, None, frac)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -389,6 +430,15 @@ class TowerElem:
 
     def __repr__(self):
         return "<%s in %r>" % (self, self.tower)
+
+
+def _times_monomial(poly, shift):
+    """`poly` times the Laurent monomial with exponents `shift`, which
+    the caller guarantees leaves every exponent nonnegative."""
+    if not any(shift):
+        return poly
+    return poly.new([(tuple(map(add, exps, shift)), c)
+                     for exps, c in poly.items()])
 
 
 def is_in_subfield(x, allowed):

@@ -739,11 +739,8 @@ def verify_monomial(result, degree=4, trials=200, rng=None,
             v = degree_L(exps, result.final_L)
             expect = v if expect is None else \
                 (v if lex_cmp(v, expect) < 0 else expect)
-        stream = HahnStream(())
         try:
-            for exps, c in poly.items():
-                stream = hahn.add(stream, hahn.scale(mono_image(exps), c))
-            got = hahn.nu_t(stream, budget)
+            got = hahn.nu_t(hahn.eval_poly(poly, mono_image), budget)
         except InconclusiveError:
             inconclusive += 1
             continue

@@ -199,7 +199,12 @@ def _align(fams, add_finite):
     so sum to an exactly zero tail, which enumeration sees as the end
     of the stream instead of an endless run of vanishing terms.
     Members more than _EXPAND_LIMIT steps behind the latest start of
-    their lane are left where they are."""
+    their lane are left where they are.
+
+    Over F_p, i^e = i^e' for every index i when e = e' (mod p-1) and
+    both are at least 1, so such families of one lane are one sequence
+    and are summed under the smallest of their powers; a family with
+    no such partner keeps its power."""
     lanes = {}
     for f in fams:
         p = next(k for k, d in enumerate(f.step) if d)
@@ -223,7 +228,27 @@ def _align(fams, add_finite):
                     key = (start, step, k, r)
                     ck = c * n
                     merged[key] = merged[key] + ck if key in merged else ck
-    return merged
+
+    prime = fams[0].r.tower.ground.p if fams else None
+    if prime is None or len(merged) < 2:
+        return merged
+
+    def power_class(key):
+        start, step, e, r = key
+        if e:
+            e = 1 + (e - 1) % (prime - 1)
+        return start, step, r, e
+
+    low = {}
+    for key in merged:
+        cls = power_class(key)
+        low[cls] = min(low.get(cls, key[2]), key[2])
+    folded = {}
+    for key, c in merged.items():
+        start, step, _, r = key
+        key = (start, step, low[power_class(key)], r)
+        folded[key] = folded[key] + c if key in folded else c
+    return folded
 
 
 def _segment_sort_key(seg):
@@ -440,16 +465,38 @@ def sub(a, b):
     return add(a, neg(b))
 
 
-def scale(a, beta):
-    if beta.is_zero:
-        return HahnStream(())
+def _scaled(segments, beta):
+    """The segments times the nonzero coefficient beta."""
     segs = []
-    for seg in a.segments:
+    for seg in segments:
         if isinstance(seg, FiniteTerms):
             segs.append(FiniteTerms(tuple((e, c * beta) for e, c in seg.terms)))
         else:
             segs.append(seg.scaled(beta))
-    return HahnStream(tuple(segs), a.cert)
+    return segs
+
+
+def scale(a, beta):
+    if beta.is_zero:
+        return HahnStream(())
+    return HahnStream(tuple(_scaled(a.segments, beta)), a.cert)
+
+
+def eval_poly(poly, image):
+    """The polynomial {exponent tuple: coefficient} evaluated at
+    streams: the sum of c * image(exps), built as one stream, so it is
+    canonicalized once rather than once per monomial.  Every monomial's
+    image is computed, in the polynomial's order, even when its
+    coefficient is zero; the certificate is the least among the images
+    that enter the sum."""
+    segs = []
+    cert = INFINITY
+    for exps, c in poly.items():
+        part = image(exps)
+        if not c.is_zero:
+            segs.extend(_scaled(part.segments, c))
+            cert = lex_min(cert, part.cert)
+    return HahnStream(tuple(segs), cert)
 
 
 def term_mul(a, coeff, exp):

@@ -9,7 +9,7 @@ import pytest
 
 from monoval import cli
 from monoval.coeff import GroundField, ParseError, Tower
-from monoval.hahn import FiniteTerms
+from monoval.hahn import APFamily, FiniteTerms, HahnStream
 
 SPECS = Path(cli.__file__).parent / "specs"
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,6 +63,20 @@ def test_stream_grammar_round_trips():
         " + terms[(0,1,0): 1]",
     ):
         assert cli.format_stream(cli.parse_stream(text, QUW, 3)) == text
+
+
+def test_family_ratio_format_parse_round_trips():
+    # format_stream writes a ratio that is not a bare symbol power as
+    # (r)^i; the parser must split such a factor at its last top-level ^
+    tower = Tower(GroundField.prime(5), ("u3",))
+    for ratio, text in (("3*u3^2", "(3*u3^2)^i"), ("u3+1", "(u3 + 1)^i")):
+        fam = APFamily((0, 0, 1), (0, 0, 1), tower.from_int(2), 1,
+                       tower.parse(ratio), None)
+        out = cli.format_stream(HahnStream((fam,)))
+        assert out.endswith("coeff=2*i*%s, i=1..inf]" % text)
+        back = cli.parse_stream(out, tower, 3)
+        assert back.segments == (fam,)
+        assert cli.format_stream(back) == out
 
 
 def test_bounded_family_expands_to_terms():

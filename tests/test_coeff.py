@@ -251,3 +251,77 @@ def test_characteristic_collapse():
     assert t.from_int(5).is_zero
     assert (t.gen("w") * 5).is_zero
     assert t.from_int(7) == t.from_int(2)
+
+
+def _random_poly(rng, tower):
+    u, v = tower.gen("u"), tower.gen("v")
+    x = tower.zero
+    for _ in range(rng.randint(1, 3)):
+        x = x + rng.randint(-4, 4) * u ** rng.randint(0, 3) \
+            * v ** rng.randint(0, 3)
+    return x
+
+
+def _random_fraction(rng, tower):
+    """A reduced fraction that is not a scalar times a monomial."""
+    while True:
+        den = _random_poly(rng, tower)
+        if den.is_zero:
+            continue
+        x = _random_poly(rng, tower) / den
+        if x.scalar is None:
+            return x
+
+
+def _random_scalar_monomial(rng, tower):
+    m = tower.from_int(rng.randint(-4, 4))
+    for name in tower.symbols:
+        m = m * tower.gen(name) ** rng.randint(-3, 3)
+    return m
+
+
+@pytest.mark.parametrize("ground", [F5, Q], ids=str)
+def test_fraction_times_monomial_agrees_with_fraction_route(ground):
+    # the product of a fraction and a scalar-monomial skips FracField;
+    # it must land on the representation that sympy's cancellation
+    # followed by the tower's normalization gives
+    t = Tower(ground, ("u", "v"))
+    u, v = t.gen("u"), t.gen("v")
+    x = (u ** 2 + u * v) / (v ** 2 + v * u ** 3)
+    assert x * (u ** -1 * v) == (u + v) / (v + u ** 3)
+    assert str(x * (3 * v ** -2)) == "(3*u^2 + 3*u*v)/(u^3*v^3 + v^4)"
+    rng = random.Random(606217)
+    for _ in range(300):
+        x = _random_fraction(rng, t)
+        m = _random_scalar_monomial(rng, t)
+        want = t._make(x.raw * m.raw)
+        for got in (x * m, m * x):
+            assert got == want
+            assert hash(got) == hash(want)
+            assert str(got) == str(want)
+            assert got.weight == want.weight
+            assert got.symbols_used() == want.symbols_used()
+
+
+@pytest.mark.parametrize("ground", [F5, Q], ids=str)
+def test_fraction_times_monomial_runs_no_gcd(ground, monkeypatch):
+    from sympy.polys.rings import PolyElement
+
+    rng = random.Random(70001)
+    t = Tower(ground, ("u", "v"))
+    pairs = [(_random_fraction(rng, t), _random_scalar_monomial(rng, t))
+             for _ in range(100)]
+    calls = []
+    cancel = PolyElement.cancel
+
+    def counting_cancel(f, g, *args, **kwargs):
+        calls.append(1)
+        return cancel(f, g, *args, **kwargs)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting_cancel)
+    for x, m in pairs:
+        x * m
+        m * x
+    assert not calls
+    pairs[0][0] * pairs[1][0]
+    assert calls

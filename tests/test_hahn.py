@@ -16,6 +16,7 @@ from monoval.hahn import (
     HahnStream,
     NoLimitError,
     add,
+    eval_poly,
     first_terms,
     inverse,
     leading_term,
@@ -538,3 +539,78 @@ def test_inverse_roundtrip_certified_leading():
         p = mul(s, inv, Budget(max_terms=400))
         rank = len(next(iter(es)))
         assert leading_term(p, BIG) == ((0,) * rank, tower.one)
+
+
+def test_index_powers_congruent_mod_p_minus_1_are_one_family():
+    # over F5, i^5 = i for every index i (both powers at least 1 and
+    # equal mod 4), so these two families sum to exactly zero
+    c, two = F5U.from_int(3), F5U.from_int(2)
+    s = HahnStream((APFamily((0, 1), (0, 1), c, 5, two, None),
+                    APFamily((0, 1), (0, 1), -c, 1, two, None)))
+    assert s.is_structurally_zero
+    assert first_terms(s, 1, Budget(max_terms=64)) == []
+    # partners sum under the smaller power; a family without one keeps
+    # its power, and i^0 is never a partner of i^4
+    f5 = APFamily((0, 1), (0, 1), F5U.one, 5, two, None)
+    f1 = APFamily((0, 1), (0, 1), two, 1, two, None)
+    f4 = APFamily((0, 1), (0, 1), F5U.one, 4, two, None)
+    f0 = APFamily((0, 1), (0, 1), F5U.one, 0, two, None)
+    assert HahnStream((f5,)).segments == (f5,)
+    assert HahnStream((f5, f1)).segments == (
+        APFamily((0, 1), (0, 1), F5U.from_int(3), 1, two, None),)
+    assert len(HahnStream((f4, f0)).segments) == 2
+    for fams in ((f5, f1), (f5, f4, f0), (f1, f5.shifted((0, 2)))):
+        expansion, bound = {}, INFINITY
+        for fam in fams:
+            terms, fbound = _family_expansion(fam, 10)
+            expansion = _poly_add(expansion, terms)
+            bound = _lmin(bound, fbound)
+        want = sorted(t for t in expansion.items() if t[0] < bound)
+        assert _terms_below(HahnStream(fams), bound, BIG) == want
+
+
+def _fold(poly, image):
+    """The add/scale fold that eval_poly replaces."""
+    acc = HahnStream(())
+    for exps, c in poly.items():
+        acc = add(acc, scale(image(exps), c))
+    return acc
+
+
+def _nu_or_inconclusive(s):
+    try:
+        return nu_t(s, Budget(max_terms=64))
+    except InconclusiveError:
+        return "inconclusive"
+
+
+def _assert_eval_poly_matches_fold(rng, images, tower, nvars, degree):
+    cache = {}
+
+    def image(exps):
+        if exps not in cache:
+            cache[exps] = monomial_image(exps, images, Budget(max_terms=64))
+        return cache[exps]
+
+    poly = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(1, degree)):
+            exps[rng.randrange(nvars)] += 1
+        poly[tuple(exps)] = tower.from_int(rng.randint(-5, 5))
+    got, want = eval_poly(poly, image), _fold(poly, image)
+    assert got.segments == want.segments
+    assert got.cert == want.cert
+    assert _nu_or_inconclusive(got) == _nu_or_inconclusive(want)
+
+
+def test_eval_poly_matches_add_scale_fold():
+    rng = random.Random(55001)
+    images = example_images(F5U)
+    for _ in range(60):
+        _assert_eval_poly_matches_fold(rng, images, F5U, 4, 3)
+    for _ in range(60):
+        tower = F5U if rng.random() < 0.5 else Q2
+        a, _, _ = _random_stream(rng, tower)
+        b, _, _ = _random_stream(rng, tower)
+        _assert_eval_poly_matches_fold(rng, [a, b], tower, 2, 3)
