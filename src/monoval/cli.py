@@ -44,7 +44,6 @@ from .coeff import CoeffError, GroundField, ParseError, Tower, tokenize
 from .engine import (
     CoordChange,
     Monoidal,
-    SwapVars,
     ValuationSpec,
     monomialize,
     verify_monomial,
@@ -649,9 +648,6 @@ def _log_entry_json(names, entry):
         return {"kind": "monoidal", "var": names[entry.l],
                 "partner": names[entry.i], "q": entry.q,
                 "reading": _monoidal_reading(names, entry)}
-    if isinstance(entry, SwapVars):
-        return {"kind": "swap", "var": names[entry.l],
-                "partner": names[entry.i]}
     if isinstance(entry, CoordChange):
         return {"kind": "coordinate_change", "var": names[entry.j],
                 "terms": [{"alpha": str(alpha), "R": list(R)}
@@ -664,8 +660,6 @@ def _log_entry_json(names, entry):
 def _log_entry_text(names, entry):
     if isinstance(entry, Monoidal):
         return "monoidal %s" % _monoidal_reading(names, entry)
-    if isinstance(entry, SwapVars):
-        return "swap %s <-> %s" % (names[entry.l], names[entry.i])
     correction = " + ".join(
         ["%s*Y^%s" % (alpha, _vec_text(R)) for alpha, R in entry.terms]
         + ([format_stream(HahnStream((entry.tail,)))]

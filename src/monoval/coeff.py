@@ -1,24 +1,38 @@
 """Exact coefficient fields for the residue tower.
 
-The ground field k is either Q or a prime field F_p.  Residues live in
-a rational function field k(w_1,...,w_d) ("tower").  A ground scalar
-times a Laurent monomial in the symbols is held as the scalar and an
-exponent tuple.  Every other element is represented on top of sympy's
-sparse multivariate FracField with one extra canonical convention: the
-denominator's leading coefficient (lex order on the symbols) is always
-1.  Either way equal elements have identical representations and
+The ground field k is either Q or a prime field F_p.  A ground scalar
+is a plain Python number: over F_p an `int` in [0, p), over Q an `int`
+when it is integral and a `fractions.Fraction` otherwise (`==` and
+`hash` agree across the two types, and each value has one form).
+
+Residues live in a rational function field k(w_1,...,w_d) ("tower").
+An element takes exactly one of two forms:
+
+* a Laurent polynomial: a tuple of (exponent tuple, nonzero scalar)
+  pairs in descending lex order of the exponents, which is sympy's
+  term order; zero is `()`.  Every element whose reduced denominator
+  is a monomial has this form;
+* a reduced fraction: sympy's FracElement whose denominator, not a
+  monomial, has leading coefficient (lex order on the symbols) 1.
+
+Equal elements therefore have identical representations, and
 syntactic equality is field equality.
 
-Products take one of three routes:
+Arithmetic takes one of three routes:
 
-* monomial x monomial: multiply the scalars, add the exponents;
-* fraction x monomial: shift the reduced numerator and denominator by
-  monomials read off their exponent minima, without a polynomial gcd
-  (see `TowerElem._times_mono`);
-* fraction x fraction: sympy's FracField product, which cancels by a
-  gcd.
+* Laurent with Laurent: sums, products, positive powers and quotients
+  by a one-term element stay Laurent polynomials and run on the
+  scalars directly;
+* fraction times a one-term element: the reduced numerator and
+  denominator are shifted by monomials read off their exponent
+  minima, without a polynomial gcd (see `TowerElem._times_mono`);
+* everything else (a sum with a fraction, a product of a fraction and
+  a multi-term element, a quotient by a multi-term element): sympy's
+  FracField, which cancels by a gcd.
 
-Only the last, and sums that make a real polynomial, pay for a gcd.
+sympy is imported only on the first use of the last route, of
+`TowerElem.raw` or of `GroundField.domain`, so a run whose
+coefficients all have monomial denominators never loads it.
 
 Subfield membership is the symbol-subset test: under the engine's
 standing purity assumption the adjoined symbols are algebraically
@@ -31,9 +45,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-
-from sympy.polys.domains import GF, QQ
-from sympy.polys.fields import FracField
 
 
 class CoeffError(ValueError):
@@ -82,10 +93,86 @@ class GroundField:
         return 0 if self.p is None else self.p
 
     def domain(self):
+        """The matching sympy ground domain (imports sympy)."""
+        from sympy.polys.domains import GF, QQ
+
         return QQ if self.p is None else GF(self.p)
 
     def __str__(self):
         return "Q" if self.p is None else "F%d" % self.p
+
+
+# ----------------------------------------------------------- scalars
+# `red` brings the result of ring arithmetic on scalars back to
+# canonical form: `p.__rmod__` over F_p, `_norm` over Q.
+
+
+def _norm(q):
+    """A rational scalar in canonical form: integral values as int."""
+    if type(q) is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
+def _inv(c, p):
+    return pow(c, -1, p) if p else _norm(Fraction(1, c))
+
+
+def _pow(c, e, p):
+    if p:
+        return pow(c, e, p)
+    return c ** e if e >= 0 else _norm(Fraction(1, c) ** -e)
+
+
+# ------------------------------------------------- Laurent polynomials
+# A tuple of (exponent tuple, nonzero scalar) in descending lex order.
+
+
+def _add_terms(a, b, red):
+    if not b:
+        return a
+    if not a:
+        return b
+    acc = dict(a)
+    for e, c in b:
+        s = red(acc.get(e, 0) + c)
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+    # exponent tuples are distinct, so the scalars are never compared
+    return tuple(sorted(acc.items(), reverse=True))
+
+
+def _mul_terms(a, b, red):
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        # a shift keeps the lex order, and a field has no zero divisors
+        (eb, cb), = b
+        if len(a) == 1:
+            (ea, ca), = a
+            return ((tuple(map(add, ea, eb)), red(ca * cb)),)
+        return tuple((tuple(map(add, e, eb)), red(c * cb)) for e, c in a)
+    acc = {}
+    for ea, ca in a:
+        for eb, cb in b:
+            e = tuple(map(add, ea, eb))
+            acc[e] = acc.get(e, 0) + ca * cb
+    return tuple(sorted((item for item in zip(acc, map(red, acc.values()))
+                         if item[1]), reverse=True))
+
+
+def _pow_terms(a, e, red):
+    """a ** e for e >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else _mul_terms(out, a, red)
+        e >>= 1
+        if not e:
+            return out
+        a = _mul_terms(a, a, red)
 
 
 _TOWER_CACHE = {}
@@ -94,7 +181,7 @@ _TOWER_CACHE = {}
 class Tower:
     """Interned context k(w_1,...,w_d); symbols ordered as declared."""
 
-    __slots__ = ("ground", "symbols", "_field", "_by_name", "_dom",
+    __slots__ = ("ground", "symbols", "_p", "_red", "_field", "_by_name",
                  "_no_exps", "_zero", "_one")
 
     def __new__(cls, ground, symbols=()):
@@ -108,37 +195,53 @@ class Tower:
         self = super().__new__(cls)
         self.ground = ground
         self.symbols = symbols
-        self._field = FracField(list(symbols), ground.domain())
-        self._dom = self._field.domain
+        self._p = ground.p
+        self._red = ground.p.__rmod__ if ground.p else _norm
+        self._field = None
         self._by_name = {name: k for k, name in enumerate(symbols)}
         self._no_exps = (0,) * len(symbols)
-        self._zero = TowerElem(self, self._dom.zero, self._no_exps)
-        self._one = TowerElem(self, self._dom.one, self._no_exps)
+        self._zero = TowerElem(self, ())
+        self._one = TowerElem(self, ((self._no_exps, 1),))
         _TOWER_CACHE[key] = self
         return self
 
+    def _fracfield(self):
+        """sympy's FracField over this tower, built on first use."""
+        if self._field is None:
+            from sympy.polys.fields import FracField
+
+            self._field = FracField(list(self.symbols), self.ground.domain())
+        return self._field
+
+    def _to_domain(self, c):
+        dom = self._fracfield().domain
+        return dom(c) if self._p else dom(c.numerator, c.denominator)
+
+    def _from_domain(self, c):
+        if self._p:
+            return int(c) % self._p
+        n, d = int(c.numerator), int(c.denominator)
+        return n if d == 1 else Fraction(n, d)
+
     def _mono(self, scalar, exps):
-        """Scalar (a ground-domain element) times the Laurent monomial
-        with exponent tuple `exps`."""
-        if not scalar:
-            return self._zero
-        return TowerElem(self, scalar, exps)
+        """Scalar times the Laurent monomial with exponent tuple
+        `exps`."""
+        return TowerElem(self, ((exps, scalar),) if scalar else ())
 
     def _make(self, frac):
-        """Wrap a raw FracElement in canonical form: the scalar-monomial
-        form when it is one, else the reduced fraction with a monic
-        denominator."""
+        """Wrap a raw FracElement in canonical form: the Laurent
+        polynomial when the denominator is a monomial, else the reduced
+        fraction with a monic denominator."""
         num, den = frac.numer, frac.denom
-        if len(den) == 1 and len(num) <= 1:
-            if not num:
-                return self._zero
-            (nexp, nc), = num.items()
+        if len(den) == 1:
             (dexp, dc), = den.items()
-            return self._mono(nc / dc, tuple(map(sub, nexp, dexp)))
+            return TowerElem(self, tuple(
+                (tuple(map(sub, e, dexp)), self._from_domain(c / dc))
+                for e, c in num.terms()))
         lc = den.LC
-        if lc != self._dom.one:
-            frac = self._field.raw_new(num.quo_ground(lc), den.quo_ground(lc))
-        return TowerElem(self, None, None, frac)
+        if lc != den.ring.domain.one:
+            frac = frac.field.raw_new(num.quo_ground(lc), den.quo_ground(lc))
+        return TowerElem(self, None, frac)
 
     @property
     def zero(self):
@@ -149,7 +252,7 @@ class Tower:
         return self._one
 
     def from_int(self, n):
-        return self._mono(self._dom(n), self._no_exps)
+        return self._mono(n % self._p if self._p else n, self._no_exps)
 
     def from_fraction(self, q):
         q = Fraction(q)
@@ -162,7 +265,7 @@ class Tower:
             raise CoeffError("unknown symbol %r in %s" % (name, self)) from None
         exps = list(self._no_exps)
         exps[k] = 1
-        return TowerElem(self, self._dom.one, tuple(exps))
+        return TowerElem(self, ((tuple(exps), 1),))
 
     def extend(self, name):
         """Adjoin a fresh symbol, returning the extended tower."""
@@ -179,11 +282,23 @@ class Tower:
             raise CoeffError("ground fields differ")
         if not set(elem.tower.symbols) <= set(self.symbols):
             raise CoeffError("not a sub-tower")
-        if elem.scalar is not None:
-            exps = dict(zip(elem.tower.symbols, elem.exps))
-            return self._mono(elem.scalar, tuple(exps.get(name, 0)
-                                                 for name in self.symbols))
-        return self._make(self._field.from_expr(elem.raw.as_expr()))
+        where = [self._by_name[name] for name in elem.tower.symbols]
+
+        def remap(exps):
+            out = list(self._no_exps)
+            for k, e in zip(where, exps):
+                out[k] = e
+            return tuple(out)
+
+        if elem._terms is not None:
+            # the symbol order may differ, so the lex order may too
+            return TowerElem(self, tuple(sorted(
+                ((remap(e), c) for e, c in elem._terms), reverse=True)))
+        num, den = elem._parts()
+        field = self._fracfield()
+        return self._make(field.raw_new(
+            *(field.ring({remap(e): self._to_domain(c) for e, c in part})
+              for part in (num, den))))
 
     def parse(self, text):
         """Parse +, -, *, /, ^, parentheses, integers and declared
@@ -199,43 +314,53 @@ class TowerElem:
     are representation equality (sound because construction always
     normalizes).
 
-    An element that is a ground scalar times a Laurent monomial in the
-    symbols (zero included) is held as `scalar` (a ground-domain
-    element) and `exps` (one exponent per symbol); products, powers
-    and quotients of such elements never call FracField.  Any other
-    element holds its reduced FracElement, with `scalar` and `exps`
-    None.  Every route to a scalar-monomial value ends in the first
-    form, so the two forms never describe the same element."""
+    A Laurent polynomial (zero included) is held as `_terms`, with
+    `_frac` None; any other element holds its reduced FracElement in
+    `_frac`, with `_terms` None.  Every route to a value whose reduced
+    denominator is a monomial ends in the first form, so the two forms
+    never describe the same element."""
 
-    __slots__ = ("tower", "scalar", "exps", "_frac")
+    __slots__ = ("tower", "_terms", "_frac")
 
-    def __init__(self, tower, scalar, exps, frac=None):
+    def __init__(self, tower, terms, frac=None):
         self.tower = tower
-        self.scalar = scalar
-        self.exps = exps
+        self._terms = terms
         self._frac = frac
+
+    @property
+    def scalar(self):
+        """The ground scalar of a zero (0) or one-term element; None
+        for any other element."""
+        terms = self._terms
+        if terms is None or len(terms) > 1:
+            return None
+        return terms[0][1] if terms else 0
 
     def _parts(self):
         """Numerator and denominator of the reduced form as lists of
-        (exponent tuple, ground coefficient), in sympy's term order."""
-        if self.scalar is None:
-            return self._frac.numer.terms(), self._frac.denom.terms()
-        one = self.tower._dom.one
-        if not self.scalar:
-            return [], [(self.exps, one)]
-        num = tuple(e if e > 0 else 0 for e in self.exps)
-        den = tuple(-e if e < 0 else 0 for e in self.exps)
-        return [(num, self.scalar)], [(den, one)]
+        (exponent tuple, ground scalar), in sympy's term order."""
+        terms = self._terms
+        if terms is None:
+            plain = self.tower._from_domain
+            return ([(e, plain(c)) for e, c in self._frac.numer.terms()],
+                    [(e, plain(c)) for e, c in self._frac.denom.terms()])
+        if not terms:
+            return [], [(self.tower._no_exps, 1)]
+        shift = tuple(max(0, -min(col)) for col in zip(*(e for e, _ in terms)))
+        return ([(tuple(map(add, e, shift)), c) for e, c in terms],
+                [(shift, 1)])
 
     @property
     def raw(self):
-        """The element as a sympy FracElement (built on demand for the
-        scalar-monomial form)."""
-        if self.scalar is None:
+        """The element as a sympy FracElement (built on demand for a
+        Laurent polynomial)."""
+        if self._terms is None:
             return self._frac
-        ring = self.tower._field.ring
-        num, den = self._parts()
-        return self.tower._field.raw_new(ring(dict(num)), ring(dict(den)))
+        tower = self.tower
+        field = tower._fracfield()
+        return field.raw_new(
+            *(field.ring({e: tower._to_domain(c) for e, c in part})
+              for part in self._parts()))
 
     def _coerce(self, other):
         if isinstance(other, TowerElem):
@@ -250,13 +375,13 @@ class TowerElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.scalar is not None and other.scalar is not None:
-            if not other.scalar:
-                return self
-            if not self.scalar:
-                return other
-            if self.exps == other.exps:
-                return self.tower._mono(self.scalar + other.scalar, self.exps)
+        a, b = self._terms, other._terms
+        if a is not None and b is not None:
+            return TowerElem(self.tower, _add_terms(a, b, self.tower._red))
+        if b == ():
+            return self
+        if a == ():
+            return other
         return self.tower._make(self.raw + other.raw)
 
     __radd__ = __add__
@@ -277,31 +402,33 @@ class TowerElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.scalar is not None:
-            if other.scalar is not None:
-                return self.tower._mono(self.scalar * other.scalar,
-                                        tuple(map(add, self.exps, other.exps)))
-            return other._times_mono(self)
-        if other.scalar is not None:
-            return self._times_mono(other)
+        a, b = self._terms, other._terms
+        if a is not None:
+            if b is not None:
+                return TowerElem(self.tower, _mul_terms(a, b, self.tower._red))
+            if len(a) <= 1:
+                return other._times_mono(a)
+        elif b is not None and len(b) <= 1:
+            return self._times_mono(b)
         return self.tower._make(self.raw * other.raw)
 
     __rmul__ = __mul__
 
     def _times_mono(self, mono):
-        """Product of this fraction num/den with the scalar-monomial
-        s * x^P / x^N, reduced without a polynomial gcd: since num and
-        den are coprime, the only common factors are the monomials
-        g1 = gcd(x^P, den) and g2 = gcd(x^N, num), read off the
-        exponent minima.  The result is (s * num/g2 * x^P/g1) /
-        (den/g1 * x^N/g2); dividing or multiplying by monomials keeps
-        the denominator monic, and a fraction times a unit of the
-        monomial group is never a scalar-monomial."""
-        if not mono.scalar:
+        """Product of this fraction num/den with `mono`, the terms of a
+        zero or one-term Laurent polynomial s * x^P / x^N, reduced
+        without a polynomial gcd: since num and den are coprime, the only common factors
+        are the monomials g1 = gcd(x^P, den) and g2 = gcd(x^N, num),
+        read off the exponent minima.  The result is
+        (s * num/g2 * x^P/g1) / (den/g1 * x^N/g2); dividing or
+        multiplying by monomials keeps the denominator monic and not a
+        monomial."""
+        if not mono:
             return self.tower._zero
+        (exps, s), = mono
         num, den = self._frac.numer, self._frac.denom
         num_shift, den_shift = [], []
-        for e, n_min, d_min in zip(mono.exps, map(min, zip(*num)),
+        for e, n_min, d_min in zip(exps, map(min, zip(*num)),
                                    map(min, zip(*den))):
             if e > 0:
                 g1 = min(e, d_min)
@@ -311,10 +438,11 @@ class TowerElem:
                 g2 = min(-e, n_min)
                 num_shift.append(-g2)
                 den_shift.append(-e - g2)
-        frac = self.tower._field.raw_new(
-            _times_monomial(num, num_shift).mul_ground(mono.scalar),
+        frac = self._frac.field.raw_new(
+            _times_monomial(num, num_shift).mul_ground(
+                self.tower._to_domain(s)),
             _times_monomial(den, den_shift))
-        return TowerElem(self.tower, None, None, frac)
+        return TowerElem(self.tower, None, frac)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -322,9 +450,15 @@ class TowerElem:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero in %s" % (self.tower,))
-        if self.scalar is not None and other.scalar is not None:
-            return self.tower._mono(self.scalar / other.scalar,
-                                    tuple(map(sub, self.exps, other.exps)))
+        b = other._terms
+        if b is not None and len(b) == 1:
+            (eb, cb), = b
+            inverse = ((tuple(-x for x in eb), _inv(cb, self.tower._p)),)
+            a = self._terms
+            if a is not None:
+                return TowerElem(self.tower,
+                                 _mul_terms(a, inverse, self.tower._red))
+            return self._times_mono(inverse)
         return self.tower._make(self.raw / other.raw)
 
     def __rtruediv__(self, other):
@@ -334,9 +468,11 @@ class TowerElem:
         return other / self
 
     def __neg__(self):
-        if self.scalar is not None:
-            return self.tower._mono(-self.scalar, self.exps)
-        return self.tower._make(-self.raw)
+        terms = self._terms
+        if terms is None:
+            return self.tower._make(-self.raw)
+        red = self.tower._red
+        return TowerElem(self.tower, tuple((e, red(-c)) for e, c in terms))
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -345,9 +481,17 @@ class TowerElem:
             return self.tower.one
         if e < 0 and self.is_zero:
             raise ZeroDivisionError("0 to a negative power")
-        if self.scalar is not None:
-            return self.tower._mono(self.scalar ** e,
-                                    tuple(x * e for x in self.exps))
+        terms = self._terms
+        if terms == ():
+            return self
+        if terms is not None:
+            if len(terms) == 1:
+                (exps, c), = terms
+                return TowerElem(self.tower, ((tuple(x * e for x in exps),
+                                               _pow(c, e, self.tower._p)),))
+            if e > 0:
+                return TowerElem(self.tower,
+                                 _pow_terms(terms, e, self.tower._red))
         return self.tower._make(self.raw ** e)
 
     def __bool__(self):
@@ -355,20 +499,20 @@ class TowerElem:
 
     @property
     def is_zero(self):
-        return self.scalar is not None and not self.scalar
+        return self._terms == ()
 
     @property
     def is_one(self):
-        return (self.scalar is not None and self.scalar == self.tower._dom.one
-                and not any(self.exps))
+        return self._terms == self.tower._one._terms
 
     @property
     def weight(self):
         """Representation size: total monomial count of numerator and
         denominator.  A proxy for how expensive arithmetic with this
         element is."""
-        num, den = self._parts()
-        return len(num) + len(den)
+        if self._terms is not None:
+            return len(self._terms) + 1
+        return len(self._frac.numer) + len(self._frac.denom)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -377,14 +521,13 @@ class TowerElem:
             return NotImplemented
         if self.tower is not other.tower:
             return False
-        if self.scalar is None:
-            return other.scalar is None and self._frac == other._frac
-        return (other.scalar is not None and self.scalar == other.scalar
-                and self.exps == other.exps)
+        if self._terms is not None:
+            return self._terms == other._terms
+        return other._terms is None and self._frac == other._frac
 
     def __hash__(self):
-        if self.scalar is not None:
-            return hash((id(self.tower), self.scalar, self.exps))
+        if self._terms is not None:
+            return hash((id(self.tower), self._terms))
         return hash((id(self.tower), self._frac))
 
     def symbols_used(self):
@@ -410,21 +553,22 @@ class TowerElem:
         symbols, return (scalar: TowerElem over no symbols needed,
         {name: exponent}); otherwise None.  Used to rewrite residue
         coefficients as monomials in the residue variables."""
-        if self.scalar is None or not self.scalar:
+        terms = self._terms
+        if terms is None or len(terms) != 1:
             return None
-        scalar = self.tower._mono(self.scalar, self.tower._no_exps)
-        return scalar, {name: e for name, e in zip(self.tower.symbols,
-                                                   self.exps) if e}
+        (exps, c), = terms
+        return self.tower._mono(c, self.tower._no_exps), {
+            name: e for name, e in zip(self.tower.symbols, exps) if e}
 
     def __str__(self):
         num, den = self._parts()
-        if den == [(self.tower._no_exps, self.tower._dom.one)]:
+        if den == [(self.tower._no_exps, 1)]:
             return _poly_str(num, self.tower)
         num_s = _poly_str(num, self.tower)
         den_s = _poly_str(den, self.tower)
         if len(num) > 1:
             num_s = "(%s)" % num_s
-        if not _is_atom(den, self.tower):
+        if not _is_atom(den):
             den_s = "(%s)" % den_s
         return "%s/%s" % (num_s, den_s)
 
@@ -446,19 +590,6 @@ def is_in_subfield(x, allowed):
     return x.is_in_subfield(allowed)
 
 
-def _coeff_str(c, tower):
-    dom = tower._field.domain
-    if dom.is_FF:
-        return str(int(c) % tower.ground.p)
-    return str(c)
-
-
-def _is_negative(c, tower):
-    if tower._field.domain.is_FF:
-        return False
-    return c < 0
-
-
 def _monomial_str(exps, tower):
     parts = []
     for k, e in enumerate(exps):
@@ -470,15 +601,16 @@ def _monomial_str(exps, tower):
 
 
 def _poly_str(terms, tower):
+    """`terms` hold plain scalars; over F_p they are never negative."""
     if not terms:
         return "0"
     pieces = []
     for exps, c in terms:
         mono = _monomial_str(exps, tower)
-        neg = _is_negative(c, tower)
+        neg = c < 0
         if neg:
             c = -c
-        cs = _coeff_str(c, tower)
+        cs = str(c)
         if mono and cs == "1":
             body = mono
         elif mono:
@@ -495,7 +627,7 @@ def _poly_str(terms, tower):
     return "".join(out)
 
 
-def _is_atom(terms, tower):
+def _is_atom(terms):
     """Single integer, or single symbol power with unit coefficient."""
     if len(terms) != 1:
         return False
@@ -503,7 +635,7 @@ def _is_atom(terms, tower):
     nz = [e for e in exps if e]
     if not nz:
         return True
-    return len(nz) == 1 and c == tower._field.domain.one
+    return len(nz) == 1 and c == 1
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*/^()]))")

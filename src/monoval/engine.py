@@ -62,14 +62,6 @@ class Monoidal:
 
 
 @dataclass(frozen=True)
-class SwapVars:
-    """Variable interchange; the run tracks carriers by index instead
-    of reordering, so this entry is never emitted here."""
-    l: int
-    i: int
-
-
-@dataclass(frozen=True)
 class CoordChange:
     """X_j = Z_j + sum of alpha * Z**R (+ an optional infinite family
     of such terms, exponents start + (i-1)*step over the variables)."""

@@ -145,14 +145,6 @@ class AddRow:
     q: int
 
 
-@dataclass(frozen=True)
-class Swap:
-    """Row interchange; kept for log completeness, never emitted by
-    the echelon pass here (rows are tracked by variable index)."""
-    l: int
-    i: int
-
-
 def replay_rowops(rows, ops):
     """Apply a row-operation log to a list of vectors (by variable
     index) and return the transformed list."""
@@ -160,8 +152,6 @@ def replay_rowops(rows, ops):
     for op in ops:
         if isinstance(op, AddRow):
             out[op.l] = vadd(out[op.l], vscale(op.q, out[op.i]))
-        elif isinstance(op, Swap):
-            out[op.l], out[op.i] = out[op.i], out[op.l]
         else:
             raise TypeError("unknown row operation %r" % (op,))
     return out

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -220,3 +221,71 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(0,0,1)"
+
+
+# ------------------------------------------------ sympy stays unloaded
+
+_RUN_IN_CHILD = """
+import contextlib, io, json, sys
+from monoval import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"runs": runs, "sympy": "sympy" in sys.modules}))
+"""
+
+
+def _run_in_child(commands):
+    """Run `cli.main` on each argv list in one fresh interpreter; return
+    the (code, stdout, stderr) triples and whether sympy got imported."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_IN_CHILD, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    return result["runs"], result["sympy"]
+
+
+def test_shipped_commands_do_not_import_sympy():
+    commands = [["monomialize", "--json", EXAMPLE]]
+    commands += [["verify", EXAMPLE, "--seed", seed] for seed in "137"]
+    commands += [["value", EXAMPLE, "X2 - X1"],
+                 ["monomialize", STARVED],
+                 ["monomialize", PURITY]]
+    runs, sympy_loaded = _run_in_child(commands)
+    assert [code for code, _, _ in runs] == [0, 0, 0, 0, 0, 3, 4]
+    golden = (GOLDEN / "example_f5_monomialize.json").read_text()
+    assert runs[0][1] == golden
+    assert all(out.startswith("checked ") and " 0 mismatches" in out
+               for _, out, _ in runs[1:4])
+    assert runs[4][1] == "(0,0,2)\n"
+    assert not sympy_loaded
+
+
+def test_fraction_coefficient_loads_sympy_on_demand(tmp_path):
+    # a coefficient with a non-monomial denominator is the one route
+    # that needs sympy's FracField; it must still be found and give the
+    # same answers as the monomial coefficient u3 it replaces
+    old, new = "terms[(0,0,1): u3]", "terms[(0,0,1): u3/(u3 + 1)]"
+    text = Path(EXAMPLE).read_text()
+    assert text.count(old) == 1
+    spec = tmp_path / "example_f5_fraction.vspec"
+    spec.write_text(text.replace(old, new.replace(" ", "")))
+    runs, sympy_loaded = _run_in_child([
+        ["monomialize", "--json", str(spec)],
+        ["verify", str(spec), "--seed", "1"]])
+    assert sympy_loaded
+    golden = (GOLDEN / "example_f5_monomialize.json").read_text()
+    want = golden.replace(old, new).replace('"alpha": "u3"',
+                                            '"alpha": "u3/(u3 + 1)"')
+    assert want != golden
+    assert runs[0] == [0, want, ""]
+    assert runs[1] == [
+        0, "checked 176 polynomials: 0 mismatches, 0 inconclusive\n", ""]

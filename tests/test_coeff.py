@@ -325,3 +325,97 @@ def test_fraction_times_monomial_runs_no_gcd(ground, monkeypatch):
     assert not calls
     pairs[0][0] * pairs[1][0]
     assert calls
+
+
+def _random_laurent(rng, tower, lo=1, hi=4):
+    """A sum of `lo`..`hi` terms c * u^i * v^j with exponents -3..3."""
+    x = tower.zero
+    for _ in range(rng.randint(lo, hi)):
+        m = tower.from_int(rng.randint(1, 9))
+        for name in tower.symbols:
+            m = m * tower.gen(name) ** rng.randint(-3, 3)
+        x = x + m
+    return x
+
+
+def _assert_same(got, want):
+    assert got == want
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert got.weight == want.weight
+    assert got.symbols_used() == want.symbols_used()
+    for name in got.tower.symbols:
+        assert got.degree_in(name) == want.degree_in(name)
+
+
+@pytest.mark.parametrize("ground", [F5, Q], ids=str)
+def test_laurent_route_agrees_with_fraction_route(ground):
+    # Laurent sums, products, powers and quotients by one-term elements
+    # run on plain scalars; each must land on the representation that
+    # sympy's FracField followed by the tower's normalization gives
+    t = Tower(ground, ("u", "v"))
+    rng = random.Random(818143)
+    for _ in range(150):
+        x = _random_laurent(rng, t)
+        y = _random_laurent(rng, t)
+        m = _random_laurent(rng, t, 1, 1)
+        _assert_same(x + y, t._make(x.raw + y.raw))
+        _assert_same(x - y, t._make(x.raw - y.raw))
+        _assert_same(x * y, t._make(x.raw * y.raw))
+        _assert_same(-x, t._make(-x.raw))
+        if not m.is_zero:
+            _assert_same(x / m, t._make(x.raw / m.raw))
+        if x.is_zero:
+            continue
+        for e in (1, 2, 3, -1, -2, -3):
+            _assert_same(x ** e, t._make(x.raw ** e))
+
+
+@pytest.mark.parametrize("ground", [F5, Q], ids=str)
+def test_laurent_arithmetic_runs_no_gcd(ground, monkeypatch):
+    from sympy.polys.rings import PolyElement
+
+    rng = random.Random(52711)
+    t = Tower(ground, ("u", "v"))
+    pairs = [(_random_laurent(rng, t), _random_laurent(rng, t))
+             for _ in range(100)]
+    monos = [_random_laurent(rng, t, 1, 1) for _ in range(100)]
+    calls = []
+    cancel = PolyElement.cancel
+
+    def counting_cancel(f, g, *args, **kwargs):
+        calls.append(1)
+        return cancel(f, g, *args, **kwargs)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting_cancel)
+    for (x, y), m in zip(pairs, monos):
+        x + y
+        x - y
+        x * y
+        x ** 3
+        if not m.is_zero:
+            x / m
+    assert not calls
+    x, y = pairs[0]
+    (x + 1) / (y * y + 2)
+    assert calls
+
+
+@pytest.mark.parametrize("ground", [F5, Q], ids=str)
+def test_lift_remaps_exponents(ground):
+    small = Tower(ground, ("u",))
+    pair = Tower(ground, ("u", "v"))
+    u, uu, vv = small.gen("u"), pair.gen("u"), pair.gen("v")
+    rng = random.Random(40427)
+    elems = [3 * u ** -2 + u + 2, u ** -1, small.zero, small.from_int(4),
+             u / (u + 1), (u ** 2 + 3) / (2 * u ** 3 + u),
+             (uu ** 2 * vv ** -1 + vv) / (uu + vv ** 3),
+             2 * uu ** -1 * vv ** 2 + 3 * uu ** 2 * vv ** -3 + 1]
+    elems += [_random_laurent(rng, pair) for _ in range(20)]
+    elems += [_random_fraction(rng, pair) for _ in range(20)]
+    for big in (Tower(ground, ("w", "u", "v")), Tower(ground, ("v", "w", "u"))):
+        for x in elems:
+            y = big.lift(x)
+            assert y.tower is big
+            _assert_same(y, big.parse(str(x)))
+            assert y.scalar == x.scalar
