@@ -14,12 +14,12 @@ for byte):
 
 Sections: `field` (rationals | prime p), `rank` m, `vars` (variable
 names in order), `symbols` (transcendental residue symbols in
-discovery order; omitted when none), `budgets` (any of max_steps,
-max_terms, trunc_degree, lex_ceiling; omitted when absent; trunc_degree
-only sets the degree of the polynomials `verify` samples), then one
-`image` line per variable.  Blank lines and `#` comments are accepted
-on input and dropped by the serializer, so canonical files carry
-neither.
+discovery order, none of them a variable name; omitted when none),
+`budgets` (any of max_steps >= 0, max_terms >= 1, trunc_degree >= 1,
+lex_ceiling; omitted when absent; trunc_degree only sets the degree of
+the polynomials `verify` samples), then one `image` line per variable.
+Blank lines and `#` comments are accepted on input and dropped by the
+serializer, so canonical files carry neither.
 
 A stream is ` + `-joined segments.  `terms[(0,1,0): 1, ...]` lists
 explicit exponent/coefficient pairs.  `family[start=..., step=...,
@@ -28,9 +28,13 @@ exponent start+(i-1)*step; the coefficient grammar admits exactly
 c*i^e*r^i with c and r coefficient-field expressions, and `i=1..N`
 bounds the index range.
 
-Commands: basis, value, monomialize, verify.  Exit codes: 0 success,
-1 verification failure, 2 parse error, 3 inconclusive, 4 purity or
-dimension error.
+Commands: basis, value, monomialize, verify.  `value` takes any
+expression in the variables and symbols, in the coefficient grammar,
+whose reduced form is a Laurent polynomial in the variables: so
+`(X1^2 - X2^2)/(X1 - X2)` but not `X1/(X1 + X2)`.  The budget flags
+obey the ranges above, and `verify --trials` must be at least 1.  Exit
+codes: 0 success, 1 verification failure, 2 parse error (a budget out
+of range included), 3 inconclusive, 4 purity or dimension error.
 """
 
 import argparse
@@ -40,7 +44,8 @@ import sys
 from dataclasses import dataclass, replace
 
 from . import hahn
-from .coeff import CoeffError, GroundField, ParseError, Tower, tokenize
+from .coeff import (CoeffError, GroundField, ParseError, Tower,
+                    split_trailing)
 from .engine import (
     CoordChange,
     Monoidal,
@@ -271,6 +276,17 @@ def _ratio_text(r):
 
 
 _BUDGET_KEYS = ("max_steps", "max_terms", "trunc_degree", "lex_ceiling")
+# least accepted value of each integer budget, in a spec or on the
+# command line (`trials` only on the command line)
+_BUDGET_MIN = {"max_steps": 0, "max_terms": 1, "trunc_degree": 1,
+               "trials": 1}
+
+
+def _check_budget(key, value):
+    if value < _BUDGET_MIN[key]:
+        raise ParseError("%s must be at least %d, got %d"
+                         % (key, _BUDGET_MIN[key], value), 0)
+    return value
 
 
 @dataclass
@@ -335,6 +351,9 @@ def parse_spec(text):
     if len(set(names)) != len(names) or not names:
         raise ParseError("vars must list distinct names", 0)
     symbols = tuple(sections.get("symbols", "").split())
+    for name in symbols:
+        if name in names:
+            raise ParseError("symbol %r is also a variable" % name, 0)
 
     budgets = {}
     for item in sections.get("budgets", "").split():
@@ -348,10 +367,11 @@ def parse_spec(text):
             budgets[bkey] = _parse_vec(value, m)
         else:
             try:
-                budgets[bkey] = int(value)
+                value = int(value)
             except ValueError:
                 raise ParseError("budget %s needs an integer" % bkey,
                                  0) from None
+            budgets[bkey] = _check_budget(bkey, value)
 
     tower = Tower(ground, symbols)
     image_texts = sections.get("image", {})
@@ -411,180 +431,16 @@ def load_spec(path):
 # --------------------------------------- polynomial value expressions
 
 
-class _PolyParser:
-    """The coefficient-expression grammar extended with the spec's
-    variables; values are sparse exponent->coefficient maps so that
-    monomial quotients like X3/X1 stay exact."""
-
-    def __init__(self, tower, names, text):
-        self.tower = tower
-        self.names = {name: k for k, name in enumerate(names)}
-        self.n = len(names)
-        self.text = text
-        self.tokens = tokenize(text)
-        self.k = 0
-
-    def peek(self):
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", len(self.text))
-        self.k += 1
-        return tok
-
-    def parse(self):
-        if not self.tokens:
-            raise ParseError("empty expression", 0)
-        value = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError("trailing input %r" % (tok[1],), tok[2])
-        return value
-
-    def expr(self):
-        value = self.term()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.take()
-                rhs = self.term()
-                value = (self._add(value, rhs) if tok[1] == "+"
-                         else self._add(value, self._neg(rhs)))
-            else:
-                return value
-
-    def term(self):
-        value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "*/":
-                self.take()
-                rhs = self.factor()
-                value = (self._mul(value, rhs) if tok[1] == "*"
-                         else self._div(value, rhs, tok[2]))
-            else:
-                return value
-
-    def factor(self):
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            self.take()
-            return self._neg(self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.take()
-            e = self._exponent()
-            return self._pow(base, e, tok[2])
-        return base
-
-    def _exponent(self):
-        tok = self.take()
-        if tok[0] == "int":
-            return tok[1]
-        if tok[0] == "op" and tok[1] == "-":
-            inner = self.take()
-            if inner[0] != "int":
-                raise ParseError("expected integer exponent", inner[2])
-            return -inner[1]
-        if tok[0] == "op" and tok[1] == "(":
-            sign = 1
-            nxt = self.take()
-            if nxt[0] == "op" and nxt[1] == "-":
-                sign = -1
-                nxt = self.take()
-            if nxt[0] != "int":
-                raise ParseError("expected integer exponent", nxt[2])
-            close = self.take()
-            if close[0] != "op" or close[1] != ")":
-                raise ParseError("expected ')'", close[2])
-            return sign * nxt[1]
-        raise ParseError("expected integer exponent", tok[2])
-
-    def atom(self):
-        tok = self.take()
-        if tok[0] == "int":
-            return self._const(self.tower.from_int(tok[1]))
-        if tok[0] == "name":
-            if tok[1] in self.names:
-                exps = [0] * self.n
-                exps[self.names[tok[1]]] = 1
-                return {tuple(exps): self.tower.one}
-            try:
-                return self._const(self.tower.gen(tok[1]))
-            except CoeffError:
-                raise ParseError("unknown name %r" % tok[1],
-                                 tok[2]) from None
-        if tok[0] == "op" and tok[1] == "(":
-            value = self.expr()
-            close = self.take()
-            if close[0] != "op" or close[1] != ")":
-                raise ParseError("expected ')'", close[2])
-            return value
-        raise ParseError("unexpected token %r" % (tok[1],), tok[2])
-
-    # ---- sparse map arithmetic
-
-    def _const(self, co):
-        if co.is_zero:
-            return {}
-        return {(0,) * self.n: co}
-
-    def _add(self, a, b):
-        out = dict(a)
-        for exps, co in b.items():
-            s = out.get(exps, self.tower.zero) + co
-            if s.is_zero:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return out
-
-    def _neg(self, a):
-        return {exps: -co for exps, co in a.items()}
-
-    def _mul(self, a, b):
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(exps, self.tower.zero) + ca * cb
-                if s.is_zero:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = s
-        return out
-
-    def _div(self, a, b, pos):
-        if len(b) != 1:
-            raise ParseError("can only divide by a single monomial", pos)
-        (eb, cb), = b.items()
-        return {tuple(x - y for x, y in zip(ea, eb)): ca / cb
-                for ea, ca in a.items()}
-
-    def _pow(self, a, e, pos):
-        if e < 0:
-            if len(a) != 1:
-                raise ParseError(
-                    "negative power of a non-monomial", pos)
-            (ea, ca), = a.items()
-            a = {tuple(-x for x in ea): ca ** -1}
-            e = -e
-        out = self._const(self.tower.one)
-        for _ in range(e):
-            out = self._mul(out, a)
-        return out
-
-
 def parse_poly(text, tower, names):
-    """Sparse exponent->coefficient map for a polynomial (or Laurent
-    monomial quotient) in the spec's variables."""
-    return _PolyParser(tower, names, text).parse()
+    """{exponent tuple: coefficient} for an expression in the spec's
+    variables and symbols whose reduced form is a Laurent polynomial in
+    the variables; it is parsed as an element of k(symbols, variables)."""
+    poly = split_trailing(
+        Tower(tower.ground, tower.symbols + tuple(names)).parse(text), tower)
+    if poly is None:
+        raise ParseError("%r is not a Laurent polynomial in %s"
+                         % (text, " ".join(names)), 0)
+    return poly
 
 
 def _monomial_text(names, exps):
@@ -736,6 +592,10 @@ def _print_result_text(doc, result, out):
 
 
 def _apply_overrides(doc, args):
+    for key in _BUDGET_MIN:
+        value = getattr(args, key, None)
+        if value is not None:
+            _check_budget(key, value)
     spec = doc.spec
     budget = spec.budget
     if args.max_terms is not None:

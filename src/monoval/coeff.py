@@ -42,6 +42,7 @@ those symbols.
 """
 
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
@@ -175,14 +176,15 @@ def _pow_terms(a, e, red):
         a = _mul_terms(a, a, red)
 
 
-_TOWER_CACHE = {}
+# towers stay interned only while something refers to them
+_TOWER_CACHE = weakref.WeakValueDictionary()
 
 
 class Tower:
     """Interned context k(w_1,...,w_d); symbols ordered as declared."""
 
     __slots__ = ("ground", "symbols", "_p", "_red", "_field", "_by_name",
-                 "_no_exps", "_zero", "_one")
+                 "_no_exps", "_zero", "_one", "__weakref__")
 
     def __new__(cls, ground, symbols=()):
         symbols = tuple(symbols)
@@ -585,9 +587,27 @@ def _times_monomial(poly, shift):
                      for exps, c in poly.items()])
 
 
-def is_in_subfield(x, allowed):
-    """True iff every symbol of x's reduced form lies in `allowed`."""
-    return x.is_in_subfield(allowed)
+def split_trailing(elem, tower):
+    """`elem`, an element of k(w, x) whose tower lists the symbols w of
+    `tower` first and then x, as the Laurent polynomial in x that it
+    equals: {x exponents: coefficient in `tower`}.  None when it is no
+    such polynomial, that is when its reduced denominator is not
+    x^s * D(w)."""
+    k = len(tower.symbols)
+    num, den = elem._parts()
+    shift = den[0][0][k:]
+    if any(e[k:] != shift for e, _ in den):
+        return None
+
+    def poly(terms):
+        return TowerElem(tower, tuple(sorted(terms, reverse=True)))
+
+    denom = poly((e[:k], c) for e, c in den)
+    groups = {}
+    for e, c in num:
+        groups.setdefault(tuple(map(sub, e[k:], shift)), []).append(
+            (e[:k], c))
+    return {x: poly(terms) / denom for x, terms in groups.items()}
 
 
 def _monomial_str(exps, tower):

@@ -19,9 +19,10 @@ variable.  The run proceeds in rounds:
 Across restarts either the group rank grows or the echelon pivot
 tuple strictly improves; this is asserted and bounds the run.  The
 final assembly composes the per-variable data back through the
-monoidal log into the original variables: psi streams, the list of
-transcendental residues with representatives, and final_L — the
-exponent data of the resulting monomial valuation.
+monoidal log into the original variables: psi streams, the images
+of the final coordinates, the list of transcendental residues with
+representatives, and final_L — the exponent data of the resulting
+monomial valuation.
 """
 
 import random
@@ -178,6 +179,7 @@ class MonomializationResult:
     residues: tuple
     final_L: tuple
     psi: tuple
+    zetas: tuple               # images of the final coordinates Z_i
 
 
 @dataclass(frozen=True)
@@ -582,6 +584,7 @@ class EngineState:
 
         final_L = []
         psi = []
+        zetas = []
         for i in range(self.n):
             row = self.orig_expr[i]
             if row[i] < 1:
@@ -604,13 +607,14 @@ class EngineState:
             full = self.images[i]
             for removed in self._cc_streams.get(i, ()):
                 full = hahn.add(full, removed)
+            zeta = self._remainders[i]
             if any(partners):
-                full = hahn.mul(
-                    full,
-                    hahn.monomial_image(partners, self.images,
-                                        self.budget),
-                    self.budget)
+                cofactor = hahn.monomial_image(partners, self.images,
+                                               self.budget)
+                full = hahn.mul(full, cofactor, self.budget)
+                zeta = hahn.mul(zeta, cofactor, self.budget)
             psi.append(full)
+            zetas.append(zeta)
 
         residues = tuple(
             ResidueRecord(rec.symbol, rec.var, rec.denominator,
@@ -627,27 +631,7 @@ class EngineState:
             carriers=tuple(self.carriers),
             log=TransformLog(tuple(self.log)),
             settled=settled, residues=residues,
-            final_L=tuple(final_L), psi=tuple(psi))
-
-    # -- final coordinate images ------------------------------------
-
-    def final_images(self):
-        """Streams presenting the images of the final Z variables:
-        the settled remainder of each variable, composed through the
-        monoidal relations."""
-        out = []
-        for i in range(self.n):
-            row = list(self.orig_expr[i])
-            row[i] -= 1
-            rem = self._remainders[i]
-            if any(row):
-                rem = hahn.mul(rem,
-                               hahn.monomial_image(tuple(row),
-                                                   self.images,
-                                                   self.budget),
-                               self.budget)
-            out.append(rem)
-        return out
+            final_L=tuple(final_L), psi=tuple(psi), zetas=tuple(zetas))
 
 
 # ------------------------------------------------------- public ops
@@ -661,18 +645,9 @@ def prepare(spec):
     return prepared, sb, TransformLog(tuple(state.log))
 
 
-def discover_residue(state, j):
-    """Run the subtraction loop on variable j of a prepared state."""
-    return state.discover(j)
-
-
 def monomialize(spec):
-    """Full run; returns a MonomializationResult.  The engine state is
-    attached as `_state` for verification plumbing."""
-    state = EngineState(spec)
-    result = state.run()
-    object.__setattr__(result, "_state", state)
-    return result
+    """Full run; returns a MonomializationResult."""
+    return EngineState(spec).run()
 
 
 def verify_monomial(result, degree=4, trials=200, rng=None,
@@ -680,11 +655,7 @@ def verify_monomial(result, degree=4, trials=200, rng=None,
     """Recomposition check: for random polynomials f in the final
     variables, nu_t of f evaluated at the final images must equal the
     monomial value min over monomials of sum a_i * final_L_i."""
-    state = getattr(result, "_state", None)
-    if state is None:
-        raise StructureError("result was not produced by monomialize")
     budget = budget or result.spec.budget
-    zetas = state.final_images()
     n = result.spec.n
     tower = result.spec.tower
     rng = rng or random.Random(97)
@@ -695,7 +666,7 @@ def verify_monomial(result, degree=4, trials=200, rng=None,
         cached = mono_cache.get(exps)
         if cached is None:
             try:
-                cached = hahn.monomial_image(exps, zetas, budget)
+                cached = hahn.monomial_image(exps, result.zetas, budget)
             except InconclusiveError as exc:
                 cached = exc
             mono_cache[exps] = cached

@@ -105,10 +105,6 @@ def vscale(c, a):
     return tuple(c * x for x in a)
 
 
-def vzero(m):
-    return (0,) * m
-
-
 def degree_L(A, L):
     """L-degree of the monomial X^A: sum of A[i] * L[i] in Z^m.
 

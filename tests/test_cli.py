@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ STARVED = str(SPECS / "example_starved.vspec")
 PURITY = str(SPECS / "purity_quadratic.vspec")
 
 QUW = Tower(GroundField.rationals(), ("u", "w"))
+F5U3 = Tower(GroundField.prime(5), ("u3",))
 
 
 # ------------------------------------------------------- spec files
@@ -153,9 +155,80 @@ def test_value_json(capsys):
 
 
 def test_value_bad_expressions_exit_2(capsys):
-    for expr in ("X2 +", "X9", "X1/(X1 + X2)", ""):
+    for expr in ("X2 +", "X9", "X1/(X1 + X2)", "X1/(u3 + X1)", ""):
         assert cli.main(["value", EXAMPLE, expr]) == 2
         capsys.readouterr()
+
+
+def test_value_reduces_the_expression_first(capsys):
+    # the quotient is X1 + X2, whose leading terms do not cancel
+    assert cli.main(["value", EXAMPLE, "(X1^2 - X2^2)/(X1 - X2)"]) == 0
+    assert capsys.readouterr().out == "(0,0,1)\n"
+
+
+def test_value_coefficient_with_a_symbol_denominator():
+    names = ("X1", "X2", "X3", "X4")
+    assert cli.parse_poly("X3/(u3+1)", F5U3, names) == \
+        {(0, 0, 1, 0): F5U3.parse("1/(u3 + 1)")}
+
+
+def _random_coefficient(rng, tower):
+    c = tower.from_int(rng.choice((1, 1, 2, -1, 3)))
+    for name in tower.symbols:
+        c = c * tower.gen(name) ** rng.randint(-2, 2)
+    if rng.random() < 0.4:
+        c = c + tower.from_int(rng.randint(1, 4))
+    if rng.random() < 0.3:
+        c = c / (tower.gen(rng.choice(tower.symbols)) + 1)
+    if tower.ground.p is None and rng.random() < 0.3:
+        c = c / 2
+    return c
+
+
+@pytest.mark.parametrize("tower", [F5U3, QUW], ids=["F5(u3)", "Q(u,w)"])
+def test_poly_text_parses_back(tower):
+    names = ("X1", "X2", "X3")
+    rng = random.Random(8026)
+    for _ in range(60):
+        poly = {}
+        for _ in range(rng.randint(0, 4)):
+            exps = tuple(rng.randint(-2, 3) for _ in names)
+            poly[exps] = _random_coefficient(rng, tower)
+        poly = {e: c for e, c in poly.items() if not c.is_zero}
+        text = cli._poly_text(names, poly)
+        assert cli.parse_poly(text, tower, names) == poly, text
+
+
+def test_symbol_named_like_a_variable_exits_2(tmp_path, capsys):
+    path = tmp_path / "clash.vspec"
+    path.write_text(Path(EXAMPLE).read_text().replace("symbols u3",
+                                                      "symbols X3"))
+    with pytest.raises(ParseError, match="also a variable"):
+        cli.load_spec(str(path))
+    assert cli.main(["monomialize", str(path)]) == 2
+    assert "also a variable" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------- budgets
+
+_BAD_BUDGETS = [("max_steps", -1), ("max_terms", 0), ("trunc_degree", 0)]
+
+
+@pytest.mark.parametrize("key, bad",
+                         _BAD_BUDGETS + [("trials", 0), ("trials", -5)])
+def test_out_of_range_budget_flag_exits_2(key, bad, capsys):
+    flag = "--" + key.replace("_", "-")
+    assert cli.main(["verify", EXAMPLE, flag, str(bad)]) == 2
+    assert "%s must be at least" % key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, bad", _BAD_BUDGETS)
+def test_out_of_range_budget_line_exits_2(key, bad, tmp_path, capsys):
+    path = tmp_path / "budget.vspec"
+    path.write_text(Path(EXAMPLE).read_text().replace(
+        "symbols u3", "symbols u3\nbudgets %s=%d" % (key, bad)))
+    assert cli.main(["verify", str(path)]) == 2
+    assert "%s must be at least" % key in capsys.readouterr().err
 
 
 # ----------------------------------------------------- monomialize

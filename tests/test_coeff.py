@@ -1,15 +1,17 @@
 """Tests for ground fields and the residue tower k(w_1,...,w_d)."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
+from monoval import coeff
 from monoval.coeff import (
     CoeffError,
     GroundField,
     ParseError,
     Tower,
-    is_in_subfield,
 )
 
 F5 = GroundField.prime(5)
@@ -33,6 +35,25 @@ def test_towers_are_interned():
     assert Tower(F5, ("u3",)) is Tower(F5, ("u3",))
     assert Tower(F5, ("u3",)) is not Tower(F5, ("u3", "u4"))
     assert Tower(F5, ()) is not Tower(Q, ())
+
+
+def test_unused_tower_leaves_the_cache():
+    def build():
+        tower = Tower(F5, ("cache_probe",))
+        assert (tower.gen("cache_probe") + 1).tower is tower
+        return weakref.ref(tower)
+
+    ref = build()
+    gc.collect()
+    assert ref() is None
+    assert (F5, ("cache_probe",)) not in coeff._TOWER_CACHE
+
+
+def test_tower_stays_interned_while_an_element_lives():
+    u = Tower(F5, ("u",)).gen("u")
+    gc.collect()
+    assert Tower(F5, ("u",)) is Tower(F5, ("u",))
+    assert Tower(F5, ("u",)) is u.tower
 
 
 def test_f5_inverse_example():
@@ -72,9 +93,9 @@ def test_canonical_form_is_stable():
 
 def test_membership_examples():
     t = Tower(F5, ("w",))
-    assert is_in_subfield(t.from_int(3), frozenset())
-    assert is_in_subfield(t.gen("w") ** 3, {"w"})
-    assert not is_in_subfield(t.gen("w"), frozenset())
+    assert t.from_int(3).is_in_subfield(frozenset())
+    assert (t.gen("w") ** 3).is_in_subfield({"w"})
+    assert not t.gen("w").is_in_subfield(frozenset())
 
 
 def test_membership_after_cancellation():
@@ -83,7 +104,7 @@ def test_membership_after_cancellation():
     x = (w ** 2 - 1) / (w - 1) - w  # reduces to 1
     assert x == t.one
     assert x.symbols_used() == frozenset()
-    assert is_in_subfield(x, frozenset())
+    assert x.is_in_subfield(frozenset())
 
 
 def test_membership_monotone():

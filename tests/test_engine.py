@@ -17,7 +17,6 @@ from monoval.engine import (
     Monoidal,
     TermStep,
     ValuationSpec,
-    discover_residue,
     monomialize,
     prepare,
     verify_monomial,
@@ -100,7 +99,7 @@ def test_discover_limit_step_hits_new_value():
     # family; the limit's remainder value (0,1,0) leaves the group
     state = EngineState(example_spec())
     state.prepare()
-    assert discover_residue(state, 1) == "restart"
+    assert state.discover(1) == "restart"
     cc = state.log[-1]
     assert isinstance(cc, CoordChange) and cc.j == 1
     assert cc.terms == ()
@@ -112,9 +111,9 @@ def test_discover_limit_step_hits_new_value():
 def test_discover_residue_u3():
     state = EngineState(example_spec())
     state.prepare()
-    discover_residue(state, 1)
+    state.discover(1)
     state.prepare()
-    assert discover_residue(state, 2) == "settled"
+    assert state.discover(2) == "settled"
     rec = state.settled[2]
     assert rec.kind == "residue"
     assert rec.symbol == "u3"
@@ -127,10 +126,10 @@ def test_discover_residue_u3():
 def test_discover_second_limit_after_residue():
     state = EngineState(example_spec())
     state.prepare()
-    discover_residue(state, 1)
+    state.discover(1)
     state.prepare()
-    discover_residue(state, 2)
-    assert discover_residue(state, 3) == "restart"
+    state.discover(2)
+    assert state.discover(3) == "restart"
     cc = state.log[-1]
     assert isinstance(cc, CoordChange) and cc.j == 3
     u3 = F5U.gen("u3")
@@ -144,7 +143,7 @@ def test_discover_finite_subtraction_then_residue():
     img = HahnStream((FiniteTerms((((1,), QU.one), ((2,), u))),))
     state = EngineState(two_var_spec(img))
     state.prepare()
-    assert discover_residue(state, 1) == "settled"
+    assert state.discover(1) == "settled"
     rec = state.settled[1]
     assert rec.symbol == "u" and rec.value == (2,)
     (step,) = rec.corrections
@@ -226,7 +225,7 @@ def test_residue_count_matches_dimension():
 
 def test_verify_final_variable_values():
     res = monomialize(example_spec())
-    zetas = res._state.final_images()
+    zetas = res.zetas
     assert [nu_t(z) for z in zetas] == list(res.final_L)
     # f = Z4 and f = Z1*Z3 from the worked example
     assert nu_t(zetas[3]) == (1, 0, 0)
