@@ -70,14 +70,14 @@ def _split_top(text, sep):
         elif ch in ")]":
             depth -= 1
             if depth < 0:
-                raise ParseError("unbalanced brackets", 0)
+                raise ParseError("unbalanced brackets")
         if ch == sep and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
     if depth:
-        raise ParseError("unbalanced brackets", 0)
+        raise ParseError("unbalanced brackets")
     parts.append("".join(cur))
     return [p.strip() for p in parts]
 
@@ -89,14 +89,14 @@ def _vec_text(vec):
 def _parse_vec(text, rank=None):
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError("expected an exponent tuple, got %r" % text, 0)
+        raise ParseError("expected an exponent tuple, got %r" % text)
     try:
         vec = tuple(int(p.strip()) for p in text[1:-1].split(","))
     except ValueError:
-        raise ParseError("non-integer entry in %r" % text, 0) from None
+        raise ParseError("non-integer entry in %r" % text) from None
     if rank is not None and len(vec) != rank:
         raise ParseError("tuple %r does not have %d entries"
-                         % (text, rank), 0)
+                         % (text, rank))
     return vec
 
 
@@ -116,7 +116,7 @@ def parse_stream(text, tower, rank):
             segs.append(_parse_family(part[7:-1], tower, rank))
         else:
             raise ParseError("expected terms[...] or family[...], got %r"
-                             % part, 0)
+                             % part)
     return HahnStream(tuple(segs))
 
 
@@ -124,19 +124,19 @@ def _parse_terms(body, tower, rank):
     pairs = []
     for item in _split_top(body, ","):
         if not item:
-            raise ParseError("empty entry in terms[...]", 0)
+            raise ParseError("empty entry in terms[...]")
         exp_text, _, coeff_text = item.partition(":")
         if not coeff_text:
-            raise ParseError("missing ': coefficient' in %r" % item, 0)
+            raise ParseError("missing ': coefficient' in %r" % item)
         exp = _parse_vec(exp_text, rank)
         co = tower.parse(coeff_text.strip())
         if co.is_zero:
-            raise ParseError("zero coefficient at %r" % (exp,), 0)
+            raise ParseError("zero coefficient at %r" % (exp,))
         pairs.append((exp, co))
     pairs.sort(key=lambda t: t[0])
     for a, b in zip(pairs, pairs[1:]):
         if a[0] == b[0]:
-            raise ParseError("duplicate exponent %r" % (a[0],), 0)
+            raise ParseError("duplicate exponent %r" % (a[0],))
     return FiniteTerms(tuple(pairs))
 
 
@@ -147,19 +147,19 @@ def _parse_family(body, tower, rank):
         key, _, value = item.partition("=")
         key, value = key.strip(), value.strip()
         if not value or key in fields:
-            raise ParseError("bad family item %r" % item, 0)
+            raise ParseError("bad family item %r" % item)
         fields[key] = value
         order.append(key)
     if order != ["start", "step", "coeff", "i"]:
         raise ParseError(
             "family needs start=, step=, coeff=, i=..; got %s"
-            % ", ".join(order), 0)
+            % ", ".join(order))
     start = _parse_vec(fields["start"], rank)
     step = _parse_vec(fields["step"], rank)
     c, e, r = _parse_family_coeff(fields["coeff"], tower)
     lo, _, hi = fields["i"].partition("..")
     if lo.strip() != "1" or not hi:
-        raise ParseError("family range must be i=1..N or i=1..inf", 0)
+        raise ParseError("family range must be i=1..N or i=1..inf")
     hi = hi.strip()
     if hi == "inf":
         count = None
@@ -167,11 +167,11 @@ def _parse_family(body, tower, rank):
         try:
             count = int(hi)
         except ValueError:
-            raise ParseError("bad family bound %r" % hi, 0) from None
+            raise ParseError("bad family bound %r" % hi) from None
     try:
         return APFamily(start, step, c, e, r, count)
     except ValueError as exc:
-        raise ParseError(str(exc), 0) from None
+        raise ParseError(str(exc)) from None
 
 
 def _parse_family_coeff(text, tower):
@@ -181,7 +181,7 @@ def _parse_family_coeff(text, tower):
     r = tower.one
     for factor in _split_top(text, "*"):
         if not factor:
-            raise ParseError("empty factor in %r" % text, 0)
+            raise ParseError("empty factor in %r" % text)
         if factor == "i":
             e += 1
             continue
@@ -190,7 +190,7 @@ def _parse_family_coeff(text, tower):
             try:
                 e += int(exp_text)
             except ValueError:
-                raise ParseError("bad index power %r" % factor, 0) from None
+                raise ParseError("bad index power %r" % factor) from None
             continue
         if caret and exp_text == "i":
             r = r * tower.parse(base)
@@ -202,8 +202,7 @@ def _parse_family_coeff(text, tower):
                 try:
                     k = int(mult)
                 except ValueError:
-                    raise ParseError("bad ratio power %r" % factor,
-                                     0) from None
+                    raise ParseError("bad ratio power %r" % factor) from None
                 r = r * tower.parse(base) ** k
                 continue
         c = c * tower.parse(factor)
@@ -285,7 +284,7 @@ _BUDGET_MIN = {"max_steps": 0, "max_terms": 1, "trunc_degree": 1,
 def _check_budget(key, value):
     if value < _BUDGET_MIN[key]:
         raise ParseError("%s must be at least %d, got %d"
-                         % (key, _BUDGET_MIN[key], value), 0)
+                         % (key, _BUDGET_MIN[key], value))
     return value
 
 
@@ -313,24 +312,23 @@ def parse_spec(text):
             name, stream_text = head.strip(), stream_text.strip()
             if not name or not stream_text:
                 raise ParseError("line %d: image needs '<var> = <stream>'"
-                                 % lineno, 0)
+                                 % lineno)
             images = sections.setdefault("image", {})
             if name in images:
                 raise ParseError("line %d: duplicate image for %s"
-                                 % (lineno, name), 0)
+                                 % (lineno, name))
             images[name] = stream_text
         elif key in ("field", "rank", "vars", "symbols", "budgets"):
             if key in sections:
                 raise ParseError("line %d: duplicate %s section"
-                                 % (lineno, key), 0)
+                                 % (lineno, key))
             sections[key] = rest
         else:
-            raise ParseError("line %d: unknown section %r" % (lineno, key),
-                             0)
+            raise ParseError("line %d: unknown section %r" % (lineno, key))
 
     for required in ("field", "rank", "vars"):
         if required not in sections:
-            raise ParseError("missing %s section" % required, 0)
+            raise ParseError("missing %s section" % required)
 
     field_text = sections["field"]
     if field_text == "rationals":
@@ -339,49 +337,48 @@ def parse_spec(text):
         try:
             ground = GroundField.prime(int(field_text[6:]))
         except (ValueError, CoeffError) as exc:
-            raise ParseError("bad field: %s" % exc, 0) from None
+            raise ParseError("bad field: %s" % exc) from None
     else:
         raise ParseError("field must be 'rationals' or 'prime p', got %r"
-                         % field_text, 0)
+                         % field_text)
     try:
         m = int(sections["rank"])
     except ValueError:
-        raise ParseError("rank must be an integer", 0) from None
+        raise ParseError("rank must be an integer") from None
     names = tuple(sections["vars"].split())
     if len(set(names)) != len(names) or not names:
-        raise ParseError("vars must list distinct names", 0)
+        raise ParseError("vars must list distinct names")
     symbols = tuple(sections.get("symbols", "").split())
     for name in symbols:
         if name in names:
-            raise ParseError("symbol %r is also a variable" % name, 0)
+            raise ParseError("symbol %r is also a variable" % name)
 
     budgets = {}
     for item in sections.get("budgets", "").split():
         bkey, eq, value = item.partition("=")
         if not eq or bkey not in _BUDGET_KEYS:
             raise ParseError("bad budget item %r (known keys: %s)"
-                             % (item, ", ".join(_BUDGET_KEYS)), 0)
+                             % (item, ", ".join(_BUDGET_KEYS)))
         if bkey in budgets:
-            raise ParseError("duplicate budget key %r" % bkey, 0)
+            raise ParseError("duplicate budget key %r" % bkey)
         if bkey == "lex_ceiling":
             budgets[bkey] = _parse_vec(value, m)
         else:
             try:
                 value = int(value)
             except ValueError:
-                raise ParseError("budget %s needs an integer" % bkey,
-                                 0) from None
+                raise ParseError("budget %s needs an integer" % bkey) from None
             budgets[bkey] = _check_budget(bkey, value)
 
     tower = Tower(ground, symbols)
     image_texts = sections.get("image", {})
     for name in image_texts:
         if name not in names:
-            raise ParseError("image for undeclared variable %r" % name, 0)
+            raise ParseError("image for undeclared variable %r" % name)
     images = []
     for name in names:
         if name not in image_texts:
-            raise ParseError("missing image for %s" % name, 0)
+            raise ParseError("missing image for %s" % name)
         images.append(parse_stream(image_texts[name], tower, m))
 
     budget = Budget(max_terms=budgets.get("max_terms", Budget.max_terms),
@@ -439,7 +436,7 @@ def parse_poly(text, tower, names):
         Tower(tower.ground, tower.symbols + tuple(names)).parse(text), tower)
     if poly is None:
         raise ParseError("%r is not a Laurent polynomial in %s"
-                         % (text, " ".join(names)), 0)
+                         % (text, " ".join(names)))
     return poly
 
 

@@ -53,11 +53,13 @@ class CoeffError(ValueError):
 
 
 class ParseError(CoeffError):
-    """Malformed coefficient expression; `pos` is a 0-based offset."""
+    """Malformed input; `pos` is a 0-based offset into the expression,
+    or None when the error is not about a position in one."""
 
-    def __init__(self, message, pos):
+    def __init__(self, message, pos=None):
         self.pos = pos
-        super().__init__("%s (at offset %d)" % (message, pos))
+        super().__init__(message if pos is None
+                         else "%s (at offset %d)" % (message, pos))
 
 
 def _is_prime(p):

@@ -286,6 +286,22 @@ def test_verify_command(capsys):
     assert "0 mismatches" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_verify_json_matches_golden(seed, capsys):
+    assert cli.main(["verify", EXAMPLE, "--json", "--seed", str(seed)]) == 0
+    golden = (GOLDEN / ("example_f5_verify_seed%d.json" % seed)).read_text()
+    assert capsys.readouterr().out == golden
+
+
+def test_parse_errors_give_an_offset_only_into_an_expression(capsys):
+    assert cli.main(["verify", EXAMPLE, "--trials", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "parse error: trials must be at least 1, got 0\n"
+    assert cli.main(["value", EXAMPLE, "X1 + @"]) == 2
+    assert capsys.readouterr().err == \
+        "parse error: unexpected character '@' (at offset 5)\n"
+
+
 # ----------------------------------------------------- entry point
 
 def test_module_entry_point():

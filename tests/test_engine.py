@@ -5,10 +5,12 @@ recomposition property check.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from monoval import hahn
+from monoval import engine, hahn
+from monoval.cli import parse_spec
 from monoval.coeff import GroundField, Tower
 from monoval.engine import (
     CoordChange,
@@ -23,7 +25,7 @@ from monoval.engine import (
 )
 from monoval.errors import InconclusiveError, PurityError, StructureError
 from monoval.hahn import APFamily, FiniteTerms, HahnStream, first_terms, nu_t
-from monoval.lexgroup import degree_L, lex_cmp
+from monoval.lexgroup import INFINITY, degree_L, lex_cmp
 
 F5U = Tower(GroundField.prime(5), ("u3",))
 Q = Tower(GroundField.rationals())
@@ -250,6 +252,145 @@ def test_verify_two_var_with_correction():
     report = verify_monomial(res, degree=3, trials=80,
                              rng=random.Random(7))
     assert report.mismatches == () and report.checked >= 50
+
+
+def test_verify_rejects_out_of_range_arguments():
+    res = monomialize(example_spec())
+    with pytest.raises(ValueError, match="trials"):
+        verify_monomial(res, trials=0)
+    with pytest.raises(ValueError, match="degree"):
+        verify_monomial(res, degree=0)
+
+
+def test_verify_reports_a_wrong_final_value():
+    res = monomialize(example_spec())
+    final_L = list(res.final_L)
+    assert final_L[1] == (0, 1, 0)
+    final_L[1] = (0, 1, 1)
+    report = verify_monomial(replace(res, final_L=tuple(final_L)),
+                             rng=random.Random(1))
+    assert not report.ok
+    for bad in report.mismatches:
+        assert bad["got"] != bad["expected"]
+        assert any(exps[1] for exps in bad["poly"])
+
+
+def test_verify_reports_images_whose_initial_forms_cancel(monkeypatch):
+    # X1 and X3 share the value (0,0,1); with Z3's image replaced by
+    # Z1's, f = X3 - X1 maps to zero, so its initial form cancels and
+    # only the sum stream can tell its value
+    res = monomialize(example_spec())
+    assert res.final_L[0] == res.final_L[2]
+    zetas = list(res.zetas)
+    zetas[2] = zetas[0]
+    bad_res = replace(res, zetas=tuple(zetas))
+    streamed = []
+    real_eval_poly = hahn.eval_poly
+
+    def eval_poly(poly, image):
+        streamed.append(poly)
+        return real_eval_poly(poly, image)
+
+    monkeypatch.setattr(hahn, "eval_poly", eval_poly)
+    report = verify_monomial(bad_res, rng=random.Random(1))
+    assert report.mismatches
+    for bad in report.mismatches:
+        assert bad["poly"] in streamed
+        got = bad["got"]
+        assert got is INFINITY or lex_cmp(got, bad["expected"]) > 0
+
+
+# Specs shaped like the benchmark's family specs: a carrier, a limit
+# family plus a term outside the carrier's group, a residue, and a
+# family that needs a monoidal transformation first.
+_FAMILY_SPECS = (
+    """field prime 7
+rank 3
+vars X1 X2 X3 X4 X5
+symbols u w
+image X1 = terms[(0,0,1): 3]
+image X2 = family[start=(0,0,1), step=(0,0,1), coeff=(2)*i^2*(5)^i, \
+i=1..inf] + terms[(0,1,-1): 4]
+image X3 = terms[(0,0,1): 6*u + 2]
+image X4 = family[start=(0,0,2), step=(0,0,3), coeff=(4)*(3)^i*u^(2*i), \
+i=1..inf] + terms[(1,0,2): 1]
+image X5 = terms[(0,0,1): 5*w]
+""",
+    """field rationals
+rank 3
+vars X1 X2 X3 X4
+symbols u
+image X1 = terms[(0,0,1): 3/2]
+image X2 = family[start=(0,0,1), step=(0,0,1), coeff=(2)*(-1)^i, \
+i=1..inf] + terms[(0,1,0): 2]
+image X3 = terms[(0,0,1): -1*u + 1/3]
+image X4 = family[start=(0,0,2), step=(0,0,1), \
+coeff=(-2/3)*i^1*(2/3)^i*u^(3*i), i=1..inf] + terms[(1,0,1): 3]
+""",
+    """field prime 5
+rank 3
+vars X1 X2 X3 X4
+symbols u
+image X1 = terms[(0,0,1): 2]
+image X2 = family[start=(0,0,1), step=(0,0,1), coeff=(3)*i^1*(4)^i, \
+i=1..inf] + terms[(0,1,2): 1]
+image X3 = terms[(0,0,1): 2*u + 4]
+image X4 = family[start=(0,0,3), step=(0,0,2), coeff=(1)*(2)^i, \
+i=1..inf] + terms[(1,0,-2): 3]
+""",
+)
+
+
+def _x1_for_x3(poly):
+    """The polynomial with X1 substituted for X3."""
+    out = {}
+    for exps, c in poly.items():
+        moved = (exps[0] + exps[2],) + exps[1:2] + (0,) + exps[3:]
+        out[moved] = out.get(moved, c.tower.zero) + c
+    return {e: c for e, c in out.items() if not c.is_zero}
+
+
+def test_leading_term_value_matches_the_sum_stream():
+    # each result twice: as monomialized, and with Z3's image replaced
+    # by Z1's (they share the value (0,0,1)), checked on f - f(X3 := X1),
+    # which maps to zero there, so its initial form must cancel
+    results = [monomialize(example_spec())]
+    for text in _FAMILY_SPECS:
+        results.append(monomialize(parse_spec(text).spec))
+    rng = random.Random(20261018)
+    decided = 0
+    for res in results:
+        budget = res.spec.budget
+        tower = res.spec.tower
+        zetas = list(res.zetas)
+        zetas[2] = zetas[0]
+        for images, cancel in ((res.zetas, False), (tuple(zetas), True)):
+            leads = engine._image_leads(images, budget)
+            assert leads is not None
+            for _ in range(60):
+                poly = {}
+                for _ in range(rng.randint(1, 4)):
+                    exps = tuple(rng.randint(0, 2) for _ in range(res.spec.n))
+                    c = tower.from_int(rng.randint(1, 6))
+                    poly[exps] = poly.get(exps, tower.zero) + c
+                poly = {e: c for e, c in poly.items() if not c.is_zero}
+                if cancel:
+                    gone = _x1_for_x3(poly)
+                    for exps, c in gone.items():
+                        poly[exps] = poly.get(exps, tower.zero) - c
+                    poly = {e: c for e, c in poly.items() if not c.is_zero}
+                if not poly:
+                    continue
+                lead = engine._lead_value(
+                    poly, lambda e: engine._monomial_lead(e, leads))
+                stream = hahn.eval_poly(
+                    poly, lambda e: hahn.monomial_image(e, images, budget))
+                if cancel:
+                    assert lead is None and nu_t(stream, budget) is INFINITY
+                elif lead is not None:
+                    decided += 1
+                    assert lead == nu_t(stream, budget)
+    assert decided >= 200
 
 
 # -------------------------------------------------------------- errors
