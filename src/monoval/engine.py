@@ -41,7 +41,6 @@ from .hahn import (
 from .lexgroup import (
     INFINITY,
     NotInSubgroup,
-    degree_L,
     echelon_reduce,
     is_lex_positive,
     lex_cmp,
@@ -665,39 +664,80 @@ def _image_leads(zetas, budget):
     return leads
 
 
-def _monomial_lead(exps, leads):
-    """Leading term of the product of the final images raised to exps.
+class _MonomialTable(dict):
+    """X^a -> (value under final_L, leading exponent, leading
+    coefficient) of the product of the final images raised to a >= 0.
 
-    The exponents are lex-ordered and the coefficients form a field,
-    so the leading term of a product is the product of the leading
-    terms: (sum a_i * e_i, prod lc_i^a_i)."""
-    exp = (0,) * len(leads[0][0])
-    co = leads[0][1].tower.one
-    for a, (e, c) in zip(exps, leads):
-        if a:
-            exp = vadd(exp, vscale(a, e))
-            co = co * c ** a
-    return exp, co
+    A missing entry is built from the entry of X^(a - e_i), for the
+    first i with a_i > 0, by two vector adds and one coefficient
+    product.  This is exact: the exponents are lex-ordered
+    and the coefficients form a field, so the leading term of a
+    product is the product of the leading terms.  The walk down to a
+    known entry is a loop, so the degree is not bounded by recursion."""
+
+    def __init__(self, final_L, leads, one):
+        super().__init__()
+        self._steps = tuple((L, e, c) for L, (e, c) in zip(final_L, leads))
+        self[(0,) * len(final_L)] = ((0,) * len(final_L[0]),
+                                     (0,) * len(leads[0][0]), one)
+
+    def __missing__(self, exps):
+        chain = []
+        entry = None
+        while entry is None:
+            i = next(i for i, a in enumerate(exps) if a)
+            chain.append((exps, i))
+            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            entry = self.get(exps)
+        for exps, i in reversed(chain):
+            value, exp, co = entry
+            L, e, c = self._steps[i]
+            entry = self[exps] = (vadd(value, L), vadd(exp, e), co * c)
+        return entry
 
 
-def _lead_value(poly, lead_of, ceiling=None):
-    """nu_t of the polynomial {exps: c} at the final images, read off
-    its monomials' leading terms `lead_of(exps)`: the least leading
-    exponent, unless the coefficients that reach it sum to zero (the
-    initial form vanishes) or it lies above the lex ceiling; then
-    None, and only the sum stream can tell."""
-    low = total = None
+def _poly_value(poly, table, ceiling=None):
+    """(expected, lead) for the polynomial {exps: c} at the final
+    images: the least value of its monomials under final_L, and nu_t
+    read off the monomials' leading terms in `table`, which is their
+    least leading exponent, unless the coefficients that reach it sum
+    to zero (the initial form vanishes) or it lies above the lex
+    ceiling; then lead is None, and only the sum stream can tell."""
+    expect = low = None
     for exps, c in poly.items():
-        exp, lc = lead_of(exps)
-        cmp = -1 if low is None else lex_cmp(exp, low)
-        if cmp < 0:
-            low, total = exp, lc * c
-        elif cmp == 0:
-            total = total + lc * c
-    if total.is_zero or (ceiling is not None
-                         and lex_cmp(low, ceiling) > 0):
-        return None
-    return low
+        value, exp, lc = table[exps]
+        if expect is None or value < expect:
+            expect = value
+        if low is None or exp < low:
+            low, at_low = exp, [(lc, c)]
+        elif exp == low:
+            at_low.append((lc, c))
+    # a lone term at the least exponent is a product of nonzero field
+    # elements, so only a tie can cancel
+    if len(at_low) > 1:
+        total = sum((lc * c for lc, c in at_low[1:]),
+                    at_low[0][0] * at_low[0][1])
+        if total.is_zero:
+            return expect, None
+    if ceiling is not None and lex_cmp(low, ceiling) > 0:
+        low = None
+    return expect, low
+
+
+def _drawer(rng):
+    """draw(k) == rng.randint(0, k - 1), draw for draw and with the
+    same final state: random.Random draws k.bit_length() bits and
+    rejects values >= k (its _randbelow_with_getrandbits)."""
+    getrandbits = rng.getrandbits
+
+    def draw(k):
+        bits = k.bit_length()
+        r = getrandbits(bits)
+        while r >= k:
+            r = getrandbits(bits)
+        return r
+
+    return draw
 
 
 def verify_monomial(result, degree=4, trials=200, rng=None,
@@ -709,7 +749,8 @@ def verify_monomial(result, degree=4, trials=200, rng=None,
     nu_t(f) is read off the images' leading terms when the initial
     form of f does not vanish at their leading coefficients; only
     when it does (or a leading term is inconclusive) is f evaluated
-    as a stream."""
+    as a stream.  The polynomials are those that drawing with
+    rng.randint would sample, and rng ends in the same state."""
     if trials < 1:
         raise ValueError("trials must be at least 1, got %r" % (trials,))
     if degree < 1:
@@ -718,7 +759,17 @@ def verify_monomial(result, degree=4, trials=200, rng=None,
     n = result.spec.n
     tower = result.spec.tower
     rng = rng or random.Random(97)
+    draw = _drawer(rng)
+    # rng.randint(-5, 5) is consts[draw(11)]; None marks a zero
+    consts = [None if c.is_zero else c
+              for c in map(tower.from_int, range(-5, 6))]
     leads = _image_leads(result.zetas, budget)
+    # without leading terms the table still gives values; its
+    # leading-term readings are then never used
+    table = _MonomialTable(
+        result.final_L,
+        leads or [((0,) * len(result.final_L[0]), tower.one)] * n,
+        tower.one)
 
     mono_cache = {}
 
@@ -734,33 +785,17 @@ def verify_monomial(result, degree=4, trials=200, rng=None,
             raise cached
         return cached
 
-    monomials = {}
-
-    def monomial(exps):
-        """(value under final_L, leading term at the images) of X^exps."""
-        mono = monomials.get(exps)
-        if mono is None:
-            mono = monomials[exps] = (
-                degree_L(exps, result.final_L),
-                None if leads is None else _monomial_lead(exps, leads))
-        return mono
-
-    def lead_of(exps):
-        return monomial(exps)[1]
-
     mismatches = []
     inconclusive = 0
     checked = 0
     for _ in range(trials):
-        nmono = rng.randint(1, 4)
         poly = {}
-        for _ in range(nmono):
-            total = rng.randint(1, degree)
+        for _ in range(1 + draw(4)):
             exps = [0] * n
-            for _ in range(total):
-                exps[rng.randint(0, n - 1)] += 1
-            c = tower.from_int(rng.randint(-5, 5))
-            if c.is_zero:
+            for _ in range(1 + draw(degree)):
+                exps[draw(n)] += 1
+            c = consts[draw(11)]
+            if c is None:
                 continue
             key = tuple(exps)
             prev = poly.get(key)
@@ -771,14 +806,8 @@ def verify_monomial(result, degree=4, trials=200, rng=None,
                 poly[key] = s
         if not poly:
             continue
-        expect = None
-        for exps in poly:
-            v = monomial(exps)[0]
-            if expect is None or lex_cmp(v, expect) < 0:
-                expect = v
-        got = None if leads is None else \
-            _lead_value(poly, lead_of, budget.lex_ceiling)
-        if got is None:
+        expect, got = _poly_value(poly, table, budget.lex_ceiling)
+        if got is None or leads is None:
             try:
                 got = hahn.nu_t(hahn.eval_poly(poly, mono_image), budget)
             except InconclusiveError:

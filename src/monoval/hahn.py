@@ -264,14 +264,23 @@ def _finite_iter(seg):
 def _family_iter(seg):
     i = 1
     rpow = seg.r
+    exp = tuple(seg.start)
     while seg.count is None or i <= seg.count:
         co = seg.c * rpow
         if seg.e:
             co = co * (seg.c.tower.from_int(i) ** seg.e)
         if not co.is_zero:
-            yield seg.exponent(i), co
+            yield exp, co
         i += 1
         rpow = rpow * seg.r
+        exp = vadd(exp, seg.step)
+
+
+def _work_exhausted(used, limit):
+    return InconclusiveError(
+        "enumeration work budget exhausted: %d > %d (64 * max_terms)"
+        % (used, limit),
+        detail={"budget": "work", "used": used, "limit": limit})
 
 
 class HahnStream:
@@ -331,7 +340,7 @@ class HahnStream:
         self._work += 1
         if self._work_limit is not None and self._work > self._work_limit:
             self._blown = True
-            raise InconclusiveError("enumeration work budget exhausted")
+            raise _work_exhausted(self._work, self._work_limit)
 
     def _merge(self):
         heap = []
@@ -381,12 +390,23 @@ class HahnStream:
                 return False
             if self._cert_blocked:
                 raise InconclusiveError(
-                    "stream not certified beyond %r" % (self.cert,))
+                    "certificate exhausted: next term lies at or beyond "
+                    "%r, after %d certified terms"
+                    % (self.cert, len(self._prefix)),
+                    detail={"budget": "certificate",
+                            "used": len(self._prefix),
+                            "limit": self.cert})
             if len(self._prefix) >= budget.max_terms:
                 raise InconclusiveError(
-                    "term budget %d exhausted" % budget.max_terms)
-            if self._blown or self._work > budget.work:
-                raise InconclusiveError("enumeration work budget exhausted")
+                    "term budget exhausted: %d terms >= max_terms %d"
+                    % (len(self._prefix), budget.max_terms),
+                    detail={"budget": "max_terms",
+                            "used": len(self._prefix),
+                            "limit": budget.max_terms})
+            if self._blown:
+                raise _work_exhausted(self._work, self._work_limit)
+            if self._work > budget.work:
+                raise _work_exhausted(self._work, budget.work)
             if self._iter is None:
                 self._iter = self._merge()
             self._work_limit = budget.work
@@ -417,8 +437,10 @@ def _guard_ceiling(terms, budget):
     for exp, _ in terms:
         if lex_cmp(exp, budget.lex_ceiling) > 0:
             raise InconclusiveError(
-                "term %r lies above the lex ceiling %r"
-                % (exp, budget.lex_ceiling))
+                "lex ceiling exceeded: term %r > lex_ceiling %r"
+                % (exp, budget.lex_ceiling),
+                detail={"budget": "lex_ceiling", "used": exp,
+                        "limit": budget.lex_ceiling})
 
 
 def nu_t(s, budget=DEFAULT_BUDGET):
@@ -885,7 +907,10 @@ def subtract_segment_limit(s, family):
     head = family.exponent(1)
     if s.cert is not INFINITY and lex_cmp(head, s.cert) >= 0:
         raise InconclusiveError(
-            "family head %r is beyond the certified prefix" % (head,))
+            "certificate exhausted: family head %r >= certificate %r"
+            % (head, s.cert),
+            detail={"budget": "certificate", "used": head,
+                    "limit": s.cert})
     p = next(k for k, d in enumerate(family.step) if d)
     for seg in s.segments:
         if seg == family:

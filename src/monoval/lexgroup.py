@@ -15,6 +15,7 @@ tuples).  The module provides:
 All functions are pure and all returned containers are immutable.
 """
 
+import operator
 from dataclasses import dataclass
 
 
@@ -92,17 +93,17 @@ def is_lex_positive(a):
 def vadd(a, b):
     if len(a) != len(b):
         raise DimensionError("rank mismatch: %d vs %d" % (len(a), len(b)))
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def vsub(a, b):
     if len(a) != len(b):
         raise DimensionError("rank mismatch: %d vs %d" % (len(a), len(b)))
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def vscale(c, a):
-    return tuple(c * x for x in a)
+    return tuple([c * x for x in a])
 
 
 def degree_L(A, L):

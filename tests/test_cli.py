@@ -265,6 +265,14 @@ def test_starved_prefix_tracks_max_steps(capsys):
     assert len(prefix) == 3
 
 
+def test_budget_stop_names_the_budget_and_prints_no_prefix(capsys):
+    assert cli.main(["monomialize", EXAMPLE, "--lex-ceiling",
+                     "(0,0,0)"]) == 3
+    assert capsys.readouterr().err == (
+        "inconclusive: lex ceiling exceeded: term (0, 0, 1) > "
+        "lex_ceiling (0, 0, 0)\n")
+
+
 def test_purity_exits_4(capsys):
     assert cli.main(["monomialize", PURITY]) == 4
     assert "residue" in capsys.readouterr().err
@@ -284,6 +292,13 @@ def test_verify_command(capsys):
     assert cli.main(["verify", EXAMPLE, "--trials", "20",
                      "--seed", "11"]) == 0
     assert "0 mismatches" in capsys.readouterr().out
+
+
+def test_verify_at_a_large_trunc_degree(capsys):
+    assert cli.main(["verify", EXAMPLE, "--trunc-degree", "1500",
+                     "--trials", "2"]) == 0
+    assert capsys.readouterr().out == \
+        "checked 2 polynomials: 0 mismatches, 0 inconclusive\n"
 
 
 @pytest.mark.parametrize("seed", [1, 7])

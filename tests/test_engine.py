@@ -19,6 +19,7 @@ from monoval.engine import (
     Monoidal,
     TermStep,
     ValuationSpec,
+    VerifyReport,
     monomialize,
     prepare,
     verify_monomial,
@@ -367,6 +368,7 @@ def test_leading_term_value_matches_the_sum_stream():
         for images, cancel in ((res.zetas, False), (tuple(zetas), True)):
             leads = engine._image_leads(images, budget)
             assert leads is not None
+            table = engine._MonomialTable(res.final_L, leads, tower.one)
             for _ in range(60):
                 poly = {}
                 for _ in range(rng.randint(1, 4)):
@@ -381,8 +383,12 @@ def test_leading_term_value_matches_the_sum_stream():
                     poly = {e: c for e, c in poly.items() if not c.is_zero}
                 if not poly:
                     continue
-                lead = engine._lead_value(
-                    poly, lambda e: engine._monomial_lead(e, leads))
+                for exps in poly:
+                    value, exp, lc = table[exps]
+                    assert value == degree_L(exps, res.final_L)
+                    assert (exp, lc) == hahn.leading_term(
+                        hahn.monomial_image(exps, images, budget), budget)
+                lead = engine._poly_value(poly, table)[1]
                 stream = hahn.eval_poly(
                     poly, lambda e: hahn.monomial_image(e, images, budget))
                 if cancel:
@@ -391,6 +397,105 @@ def test_leading_term_value_matches_the_sum_stream():
                     decided += 1
                     assert lead == nu_t(stream, budget)
     assert decided >= 200
+
+
+def _reference_verify(result, degree, trials, rng):
+    """verify_monomial as first written, kept as the oracle for the
+    fast loop: draws with rng.randint, builds each monomial's leading
+    term as a product of powers, and takes nu_t of every sampled
+    polynomial from its sum stream."""
+    budget = result.spec.budget
+    n = result.spec.n
+    tower = result.spec.tower
+    leads = [hahn.leading_term(z, budget) for z in result.zetas]
+    images = {}
+
+    def image(exps):
+        if exps not in images:
+            images[exps] = hahn.monomial_image(exps, result.zetas, budget)
+        return images[exps]
+
+    mismatches = []
+    inconclusive = 0
+    checked = 0
+    for _ in range(trials):
+        nmono = rng.randint(1, 4)
+        poly = {}
+        for _ in range(nmono):
+            total = rng.randint(1, degree)
+            exps = [0] * n
+            for _ in range(total):
+                exps[rng.randint(0, n - 1)] += 1
+            c = tower.from_int(rng.randint(-5, 5))
+            if c.is_zero:
+                continue
+            key = tuple(exps)
+            s = c if key not in poly else poly[key] + c
+            if s.is_zero:
+                poly.pop(key, None)
+            else:
+                poly[key] = s
+        if not poly:
+            continue
+        expect = min(degree_L(exps, result.final_L) for exps in poly)
+        try:
+            got = nu_t(hahn.eval_poly(poly, image), budget)
+        except InconclusiveError:
+            inconclusive += 1
+            continue
+        low = total = None
+        for exps, c in poly.items():
+            exp, lc = (0,) * result.spec.m, tower.one
+            for a, (e, lc_i) in zip(exps, leads):
+                exp = tuple(x + a * y for x, y in zip(exp, e))
+                lc = lc * lc_i ** a
+            if low is None or exp < low:
+                low, total = exp, lc * c
+            elif exp == low:
+                total = total + lc * c
+        if not total.is_zero:
+            assert got == low
+        checked += 1
+        if got != expect:
+            mismatches.append({"poly": poly, "expected": expect,
+                               "got": got})
+    return VerifyReport(checked=checked, mismatches=tuple(mismatches),
+                        inconclusive=inconclusive)
+
+
+def test_verify_matches_the_reference_loop():
+    results = [monomialize(example_spec())]
+    for text in _FAMILY_SPECS:
+        results.append(monomialize(parse_spec(text).spec))
+    for res in results:
+        for seed in range(1, 6):
+            for degree in range(1, 6):
+                fast_rng = random.Random(seed)
+                ref_rng = random.Random(seed)
+                report = verify_monomial(res, degree=degree, trials=40,
+                                         rng=fast_rng)
+                assert report == _reference_verify(res, degree, 40, ref_rng)
+                assert report.checked and report.ok
+                assert fast_rng.getstate() == ref_rng.getstate()
+
+
+def test_draw_replays_randint():
+    for seed in range(4):
+        ours = random.Random(seed)
+        theirs = random.Random(seed)
+        draw = engine._drawer(ours)
+        for k in [1] * 20 + list(range(1, 14)) * 20:
+            assert draw(k) == theirs.randint(0, k - 1)
+        for _ in range(200):
+            assert draw(11) - 5 == theirs.randint(-5, 5)
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_verify_at_a_large_degree():
+    res = monomialize(example_spec())
+    report = verify_monomial(res, degree=1500, trials=2,
+                             rng=random.Random(3))
+    assert report.checked == 2 and report.ok
 
 
 # -------------------------------------------------------------- errors

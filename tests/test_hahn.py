@@ -234,16 +234,38 @@ def test_term_budget_raises_inconclusive():
     s = HahnStream((fam_int_i(F5U),))
     tiny = Budget(max_terms=3)
     assert len(first_terms(s, 3, tiny)) == 3
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError,
+                       match=r"term budget exhausted: 3 terms >= "
+                             r"max_terms 3") as exc:
         first_terms(s, 4, tiny)
+    assert exc.value.detail == {"budget": "max_terms", "used": 3,
+                                "limit": 3}
+
+
+def test_work_budget_names_its_counter():
+    # the finite terms cancel the family's first 199 terms, so the
+    # merge spins past 64 * max_terms candidates without a result
+    one = F5U.one
+    s = HahnStream((FiniteTerms(tuple(((0, i), -one)
+                                      for i in range(1, 200))),
+                    APFamily((0, 1), (0, 1), one, 0, one, None)))
+    for _ in range(2):         # the second query stops without merging
+        with pytest.raises(InconclusiveError,
+                           match=r"enumeration work budget exhausted: "
+                                 r"129 > 128 \(64 \* max_terms\)") as exc:
+            nu_t(s, Budget(max_terms=2))
+        assert exc.value.detail == {"budget": "work", "used": 129,
+                                    "limit": 128}
 
 
 def test_lex_ceiling_raises_inconclusive():
     s = HahnStream((fam_int_i(F5U),))
     capped = Budget(max_terms=50, lex_ceiling=(0, 0, 2))
     assert nu_t(s, capped) == (0, 0, 1)
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError, match="lex ceiling") as exc:
         first_terms(s, 4, capped)
+    assert exc.value.detail == {"budget": "lex_ceiling", "used": (0, 0, 3),
+                                "limit": (0, 0, 2)}
 
 
 def test_cert_boundary_raises_inconclusive():
@@ -253,8 +275,10 @@ def test_cert_boundary_raises_inconclusive():
         ((0, 0, 2), F5U.from_int(2)),
         ((0, 0, 3), F5U.from_int(3)),
     ]
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError, match="certificate") as exc:
         first_terms(s, 4, BIG)
+    assert exc.value.detail == {"budget": "certificate", "used": 3,
+                                "limit": (0, 0, 4)}
     with pytest.raises(InconclusiveError):
         nu_t(HahnStream((fam_int_i(F5U),), cert=(0, 0, 1)))
 
