@@ -13,15 +13,14 @@ from .engine import (
     CoordChange,
     MonomializationResult,
     Monoidal,
-    ResidueRecord,
-    TransformLog,
     ValuationSpec,
     VerifyReport,
     monomialize,
     prepare,
     verify_monomial,
 )
-from .errors import InconclusiveError, PurityError, StructureError
+from .errors import (InconclusiveError, InternalError, PurityError,
+                     StructureError)
 from .hahn import (
     APFamily,
     Budget,
@@ -51,16 +50,15 @@ __all__ = [
     "HahnStream",
     "INFINITY",
     "InconclusiveError",
+    "InternalError",
     "MonomializationResult",
     "Monoidal",
     "ParseError",
     "PurityError",
-    "ResidueRecord",
     "StructureError",
     "SubgroupBasis",
     "Tower",
     "TowerElem",
-    "TransformLog",
     "ValuationSpec",
     "VerifyReport",
     "add",

@@ -34,7 +34,8 @@ whose reduced form is a Laurent polynomial in the variables: so
 `(X1^2 - X2^2)/(X1 - X2)` but not `X1/(X1 + X2)`.  The budget flags
 obey the ranges above, and `verify --trials` must be at least 1.  Exit
 codes: 0 success, 1 verification failure, 2 parse error (a budget out
-of range included), 3 inconclusive, 4 purity or dimension error.
+of range included), 3 inconclusive, 4 purity or dimension error, 5
+internal error (a fault of the program, not of the input).
 """
 
 import argparse
@@ -53,7 +54,7 @@ from .engine import (
     monomialize,
     verify_monomial,
 )
-from .errors import InconclusiveError, StructureError
+from .errors import InconclusiveError, InternalError, StructureError
 from .hahn import APFamily, Budget, FiniteTerms, HahnStream
 from .lexgroup import INFINITY, DimensionError, echelon_reduce
 
@@ -560,7 +561,7 @@ def _print_result_text(doc, result, out):
     out.write("field %s, rank %d, variables %s\n"
               % (ground, spec.m, " ".join(names)))
     out.write("transform log:\n")
-    if len(result.log):
+    if result.log:
         for entry in result.log:
             out.write("  %s\n" % _log_entry_text(names, entry))
     else:
@@ -792,6 +793,9 @@ def main(argv=None):
     except (StructureError, DimensionError) as exc:
         print("purity/dimension error: %s" % exc, file=sys.stderr)
         return 4
+    except InternalError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -271,39 +271,6 @@ class Tower:
         exps[k] = 1
         return TowerElem(self, ((tuple(exps), 1),))
 
-    def extend(self, name):
-        """Adjoin a fresh symbol, returning the extended tower."""
-        if name in self._by_name:
-            raise CoeffError("symbol %r already present" % (name,))
-        return Tower(self.ground, self.symbols + (name,))
-
-    def lift(self, elem):
-        """Re-express an element of a sub-tower (same ground field,
-        symbol subset) in this tower."""
-        if elem.tower is self:
-            return elem
-        if elem.tower.ground != self.ground:
-            raise CoeffError("ground fields differ")
-        if not set(elem.tower.symbols) <= set(self.symbols):
-            raise CoeffError("not a sub-tower")
-        where = [self._by_name[name] for name in elem.tower.symbols]
-
-        def remap(exps):
-            out = list(self._no_exps)
-            for k, e in zip(where, exps):
-                out[k] = e
-            return tuple(out)
-
-        if elem._terms is not None:
-            # the symbol order may differ, so the lex order may too
-            return TowerElem(self, tuple(sorted(
-                ((remap(e), c) for e, c in elem._terms), reverse=True)))
-        num, den = elem._parts()
-        field = self._fracfield()
-        return self._make(field.raw_new(
-            *(field.ring({remap(e): self._to_domain(c) for e, c in part})
-              for part in (num, den))))
-
     def parse(self, text):
         """Parse +, -, *, /, ^, parentheses, integers and declared
         symbols into a TowerElem."""

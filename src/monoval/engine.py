@@ -30,7 +30,8 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 from . import hahn
 from .coeff import Tower
-from .errors import InconclusiveError, PurityError, StructureError
+from .errors import (InconclusiveError, InternalError, PurityError,
+                     StructureError)
 from .hahn import (
     APFamily,
     DEFAULT_BUDGET,
@@ -68,17 +69,6 @@ class CoordChange:
     j: int
     terms: tuple
     tail: object = None
-
-
-@dataclass(frozen=True)
-class TransformLog:
-    entries: tuple
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 # ------------------------------------------------------------- input
@@ -160,22 +150,13 @@ class SettledVar:
 
 
 @dataclass(frozen=True)
-class ResidueRecord:
-    symbol: str
-    var: int
-    denominator: tuple
-    alpha: object
-    corrections: tuple
-
-
-@dataclass(frozen=True)
 class MonomializationResult:
     spec: ValuationSpec
     basis: object
     carriers: tuple
-    log: TransformLog
-    settled: tuple
-    residues: tuple
+    log: tuple                 # Monoidal and CoordChange entries
+    settled: tuple             # one SettledVar per variable
+    residues: tuple            # the settled residues, in index order
     final_L: tuple
     psi: tuple
     zetas: tuple               # images of the final coordinates Z_i
@@ -298,7 +279,7 @@ class EngineState:
     def _apply_monoidal(self, l, i, q):
         """X_l = Y_l * Y_i**q: divide image l by image i, q times."""
         if q < 1:
-            raise StructureError("internal: monoidal with q=%d" % q)
+            raise InternalError("monoidal with q=%d" % q)
         factor = hahn.stream_pow(self.images[i], -q, self.budget)
         self.images[l] = hahn.mul(self.images[l], factor, self.budget)
         if l in self._cc_streams:
@@ -325,9 +306,8 @@ class EngineState:
                     pick = j
                     break
             if pick is None:
-                raise StructureError(
-                    "internal: no free variable carries the basis "
-                    "value %r" % (row,))
+                raise InternalError(
+                    "no free variable carries the basis value %r" % (row,))
             carriers.append(pick)
             taken.add(pick)
         self.carriers = carriers
@@ -336,16 +316,16 @@ class EngineState:
         if cur.rank > prev.rank:
             return
         if cur.rank < prev.rank:
-            raise StructureError("internal: value group rank dropped "
-                                 "from %d to %d" % (prev.rank, cur.rank))
+            raise InternalError("value group rank dropped from %d to %d"
+                                % (prev.rank, cur.rank))
         if cur.pivot_cols != prev.pivot_cols:
-            raise StructureError(
-                "internal: pivot columns moved %r -> %r at equal rank"
+            raise InternalError(
+                "pivot columns moved %r -> %r at equal rank"
                 % (prev.pivot_cols, cur.pivot_cols))
         if not all(q <= p for q, p in zip(cur.pivots, prev.pivots)) or \
                 not any(q < p for q, p in zip(cur.pivots, prev.pivots)):
-            raise StructureError(
-                "internal: restart made no progress: pivots %r -> %r"
+            raise InternalError(
+                "restart made no progress: pivots %r -> %r"
                 % (prev.pivots, cur.pivots))
 
     # -- discovery ---------------------------------------------------
@@ -364,11 +344,12 @@ class EngineState:
             try:
                 lead = hahn.leading_term(working, self.budget)
             except InconclusiveError as exc:
+                # keep the stop's budget/used/limit next to the prefix
                 raise InconclusiveError(
                     "no certified leading term for %s after %d "
-                    "subtractions" % (name, len(subtracted)),
-                    detail={"variable": name,
-                            "prefix": tuple(subtracted)}) from exc
+                    "subtractions: %s" % (name, len(subtracted), exc),
+                    detail=dict(exc.detail or {}, variable=name,
+                                prefix=tuple(subtracted))) from exc
             if lead is None:
                 raise PurityError(
                     "%s minus its corrections has value infinity: the "
@@ -376,9 +357,9 @@ class EngineState:
                     "is not of maximal dimension" % name)
             B, lc = lead
             if prev_B is not None and not lex_cmp(prev_B, B) < 0:
-                raise StructureError(
-                    "internal: leading values of %s did not increase "
-                    "(%r then %r)" % (name, prev_B, B))
+                raise InternalError(
+                    "leading values of %s did not increase (%r then %r)"
+                    % (name, prev_B, B))
             prev_B = B
 
             try:
@@ -391,8 +372,8 @@ class EngineState:
             gY = hahn.monomial_image(R, self.images, self.budget)
             gl = hahn.leading_term(gY, self.budget)
             if gl is None or gl[0] != B:
-                raise StructureError(
-                    "internal: phi(Y^%r) has value %r, expected %r"
+                raise InternalError(
+                    "phi(Y^%r) has value %r, expected %r"
                     % (R, gl and gl[0], B))
             alpha = lc / gl[1]
 
@@ -409,10 +390,12 @@ class EngineState:
 
             if len(subtracted) >= self.spec.max_steps:
                 raise InconclusiveError(
-                    "%s: no family matched after %d subtractions"
-                    % (name, len(subtracted)),
-                    detail={"variable": name,
-                            "prefix": tuple(subtracted)})
+                    "%s: no family matched after %d subtractions "
+                    "(max_steps %d)"
+                    % (name, len(subtracted), self.spec.max_steps),
+                    detail={"variable": name, "prefix": tuple(subtracted),
+                            "budget": "max_steps", "used": len(subtracted),
+                            "limit": self.spec.max_steps})
             piece = hahn.scale(gY, alpha)
             working = hahn.sub(working, piece)
             corrections.append(TermStep(alpha, R, B, piece))
@@ -493,8 +476,8 @@ class EngineState:
         for step in corrections:
             if isinstance(step, TermStep) and \
                     not lex_cmp(step.B, B) < 0:
-                raise StructureError("internal: correction chain of %s "
-                                     "is not increasing" % name)
+                raise InternalError(
+                    "correction chain of %s is not increasing" % name)
         self.adjoined.append(expected)
         self.settled[j] = SettledVar(
             var=j, kind="residue", value=B,
@@ -510,16 +493,14 @@ class EngineState:
         for step in corrections:
             if isinstance(step, TermStep):
                 if tail is not None:
-                    raise StructureError(
-                        "internal: finite corrections after a limit "
-                        "step on %s are not representable"
-                        % self.spec.names[j])
+                    raise InternalError(
+                        "finite corrections after a limit step on %s are "
+                        "not representable" % self.spec.names[j])
                 terms.append((step.alpha, step.R))
             else:
                 if tail is not None:
-                    raise StructureError(
-                        "internal: two limit families on %s in one "
-                        "round" % self.spec.names[j])
+                    raise InternalError("two limit families on %s in one "
+                                        "round" % self.spec.names[j])
                 tail = step.yfam
         return CoordChange(j, tuple(terms), tail)
 
@@ -527,9 +508,9 @@ class EngineState:
         entry = self._coordchange_entry(j, corrections)
         for i, row in enumerate(self.orig_expr):
             if i != j and row[j]:
-                raise StructureError(
-                    "internal: variable %s is both a monoidal partner "
-                    "and coordinate-changed" % self.spec.names[j])
+                raise InternalError(
+                    "variable %s is both a monoidal partner and "
+                    "coordinate-changed" % self.spec.names[j])
         self.log.append(entry)
         self._cc_streams.setdefault(j, []).extend(
             step.t_stream() for step in corrections)
@@ -574,11 +555,10 @@ class EngineState:
                 continue
             for i, row in enumerate(self.orig_expr):
                 if i != j and row[j]:
-                    raise StructureError(
-                        "internal: residue variable %s needs a final "
-                        "coordinate change but is a monoidal partner "
-                        "of %s" % (self.spec.names[j],
-                                   self.spec.names[i]))
+                    raise InternalError(
+                        "residue variable %s needs a final coordinate "
+                        "change but is a monoidal partner of %s"
+                        % (self.spec.names[j], self.spec.names[i]))
             self.log.append(self._coordchange_entry(j, rec.corrections))
 
         final_L = []
@@ -587,8 +567,8 @@ class EngineState:
         for i in range(self.n):
             row = self.orig_expr[i]
             if row[i] < 1:
-                raise StructureError("internal: composition lost "
-                                     "variable %s" % self.spec.names[i])
+                raise InternalError(
+                    "composition lost variable %s" % self.spec.names[i])
             # one copy of the variable itself carries its corrections;
             # everything else in the row (including surplus powers of
             # itself picked up through partner rewrites) is a monomial
@@ -615,20 +595,15 @@ class EngineState:
             psi.append(full)
             zetas.append(zeta)
 
-        residues = tuple(
-            ResidueRecord(rec.symbol, rec.var, rec.denominator,
-                          rec.alpha, rec.corrections)
-            for rec in (self.settled[j] for j in range(self.n))
-            if rec.kind == "residue")
-        if len(residues) != self.n - self.m:
-            raise StructureError("internal: %d residues for dimension "
-                                 "%d" % (len(residues), self.n - self.m))
-
         settled = tuple(self.settled[j] for j in range(self.n))
+        residues = tuple(rec for rec in settled if rec.kind == "residue")
+        if len(residues) != self.n - self.m:
+            raise InternalError("%d residues for dimension %d"
+                                % (len(residues), self.n - self.m))
         return MonomializationResult(
             spec=self.spec, basis=self.sb,
             carriers=tuple(self.carriers),
-            log=TransformLog(tuple(self.log)),
+            log=tuple(self.log),
             settled=settled, residues=residues,
             final_L=tuple(final_L), psi=tuple(psi), zetas=tuple(zetas))
 
@@ -641,7 +616,7 @@ def prepare(spec):
     state = EngineState(spec)
     sb = state.prepare()
     prepared = replace(spec, images=tuple(state.images))
-    return prepared, sb, TransformLog(tuple(state.log))
+    return prepared, sb, tuple(state.log)
 
 
 def monomialize(spec):

@@ -1,9 +1,10 @@
-"""Error types shared by the series, stream and engine layers.
+"""Error types shared by the stream, engine and CLI layers.
 
-Two failure families matter to callers (and map to distinct CLI exit
+Three failure families matter to callers (and map to distinct CLI exit
 codes): budget-limited answers that refuse to guess (inconclusive),
-and inputs that violate the structural assumptions of the procedure
-(purity of residues, declared rank/dimension).
+inputs that violate the structural assumptions of the procedure
+(purity of residues, declared rank/dimension), and broken invariants
+of the procedure itself, which say nothing about the input.
 """
 
 
@@ -29,3 +30,9 @@ class PurityError(StructureError):
     """A residue fell outside the pure-transcendental tower: it is
     neither in the current subfield nor a fresh Moebius-independent
     transcendental."""
+
+
+class InternalError(Exception):
+    """An invariant of the procedure failed, or the run reached a case
+    it cannot represent yet: a fault of the program, not a verdict on
+    the input, so deliberately not a StructureError."""

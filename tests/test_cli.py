@@ -11,6 +11,7 @@ import pytest
 
 from monoval import cli
 from monoval.coeff import GroundField, ParseError, Tower
+from monoval.errors import InternalError, StructureError
 from monoval.hahn import APFamily, FiniteTerms, HahnStream
 
 SPECS = Path(cli.__file__).parent / "specs"
@@ -273,6 +274,28 @@ def test_budget_stop_names_the_budget_and_prints_no_prefix(capsys):
         "lex_ceiling (0, 0, 0)\n")
 
 
+_CHAIN = ("field rationals\nrank 2\nvars X1 X2 X3\nsymbols u\n"
+          "image X1 = terms[(0,1): 1]\nimage X2 = terms[(1,0): 1]\n"
+          "image X3 = family[start=(0,1), step=(0,1), coeff=1, i=1..inf]"
+          " + %s\n")
+
+
+@pytest.mark.parametrize("tail,fault", [
+    ("terms[(1,0): 1, (1,1): u]",
+     "finite corrections after a limit step on X3 are not representable"),
+    ("family[start=(1,1), step=(0,1), coeff=2^i, i=1..inf] "
+     "+ terms[(2,0): u]", "two limit families on X3 in one round"),
+], ids=["terms-after-limit", "two-limits"])
+def test_internal_fault_exits_5_not_4(tail, fault, tmp_path, capsys):
+    # valid inputs of maximal dimension whose correction chains the log
+    # cannot represent: a fault of the program, not a purity verdict
+    spec = tmp_path / "chain.vspec"
+    spec.write_text(_CHAIN % tail)
+    assert cli.main(["monomialize", str(spec)]) == 5
+    assert capsys.readouterr().err == "internal error: %s\n" % fault
+    assert not issubclass(InternalError, StructureError)
+
+
 def test_purity_exits_4(capsys):
     assert cli.main(["monomialize", PURITY]) == 4
     assert "residue" in capsys.readouterr().err
@@ -338,13 +361,13 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     runs.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps({"runs": runs, "sympy": "sympy" in sys.modules}))
+print(json.dumps({"runs": runs, "modules": sorted(sys.modules)}))
 """
 
 
 def _run_in_child(commands):
     """Run `cli.main` on each argv list in one fresh interpreter; return
-    the (code, stdout, stderr) triples and whether sympy got imported."""
+    the (code, stdout, stderr) triples and the set of modules loaded."""
     src = str(Path(cli.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
@@ -354,23 +377,29 @@ def _run_in_child(commands):
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    return result["runs"], result["sympy"]
+    return result["runs"], set(result["modules"])
 
 
 def test_shipped_commands_do_not_import_sympy():
+    # the same commands also load every module of the package: a module
+    # that none of them loads is an orphan
     commands = [["monomialize", "--json", EXAMPLE]]
     commands += [["verify", EXAMPLE, "--seed", seed] for seed in "137"]
     commands += [["value", EXAMPLE, "X2 - X1"],
                  ["monomialize", STARVED],
                  ["monomialize", PURITY]]
-    runs, sympy_loaded = _run_in_child(commands)
+    runs, loaded = _run_in_child(commands)
     assert [code for code, _, _ in runs] == [0, 0, 0, 0, 0, 3, 4]
     golden = (GOLDEN / "example_f5_monomialize.json").read_text()
     assert runs[0][1] == golden
     assert all(out.startswith("checked ") and " 0 mismatches" in out
                for _, out, _ in runs[1:4])
     assert runs[4][1] == "(0,0,2)\n"
-    assert not sympy_loaded
+    assert "sympy" not in loaded
+    package = {"monoval"} | {"monoval." + path.stem
+                             for path in SPECS.parent.glob("*.py")
+                             if path.stem != "__init__"}
+    assert {m for m in loaded if m.split(".")[0] == "monoval"} == package
 
 
 def test_fraction_coefficient_loads_sympy_on_demand(tmp_path):
@@ -382,10 +411,10 @@ def test_fraction_coefficient_loads_sympy_on_demand(tmp_path):
     assert text.count(old) == 1
     spec = tmp_path / "example_f5_fraction.vspec"
     spec.write_text(text.replace(old, new.replace(" ", "")))
-    runs, sympy_loaded = _run_in_child([
+    runs, loaded = _run_in_child([
         ["monomialize", "--json", str(spec)],
         ["verify", str(spec), "--seed", "1"]])
-    assert sympy_loaded
+    assert "sympy" in loaded
     golden = (GOLDEN / "example_f5_monomialize.json").read_text()
     want = golden.replace(old, new).replace('"alpha": "u3"',
                                             '"alpha": "u3/(u3 + 1)"')

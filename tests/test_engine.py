@@ -25,7 +25,8 @@ from monoval.engine import (
     verify_monomial,
 )
 from monoval.errors import InconclusiveError, PurityError, StructureError
-from monoval.hahn import APFamily, FiniteTerms, HahnStream, first_terms, nu_t
+from monoval.hahn import (APFamily, Budget, FiniteTerms, HahnStream,
+                          first_terms, nu_t)
 from monoval.lexgroup import INFINITY, degree_L, lex_cmp
 
 F5U = Tower(GroundField.prime(5), ("u3",))
@@ -516,6 +517,27 @@ def test_starved_run_reports_pseudo_convergent_prefix():
     assert prefix == ((0, 0, 1), (0, 0, 2))
     for a, b in zip(prefix, prefix[1:]):
         assert lex_cmp(a, b) < 0
+
+
+def test_max_steps_stop_names_its_budget():
+    second = HahnStream((FiniteTerms((((1,), QU.one), ((2,), QU.gen("u")))),))
+    with pytest.raises(InconclusiveError) as exc:
+        monomialize(two_var_spec(second, max_steps=0))
+    assert "max_steps 0" in str(exc.value)
+    assert exc.value.detail == {"variable": "X2", "prefix": (),
+                                "budget": "max_steps", "used": 0,
+                                "limit": 0}
+
+
+def test_no_leading_term_keeps_the_budget_that_stopped_it():
+    second = HahnStream((FiniteTerms((((1,), QU.one), ((5,), QU.gen("u")))),))
+    spec = replace(two_var_spec(second), budget=Budget(lex_ceiling=(3,)))
+    with pytest.raises(InconclusiveError) as exc:
+        monomialize(spec)
+    assert "lex_ceiling (3,)" in str(exc.value)
+    assert exc.value.detail == {"variable": "X2", "prefix": ((1,),),
+                                "budget": "lex_ceiling", "used": (5,),
+                                "limit": (3,)}
 
 
 def test_purity_degree_two_coefficient():
