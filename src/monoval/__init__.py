@@ -16,7 +16,6 @@ from .engine import (
     ValuationSpec,
     VerifyReport,
     monomialize,
-    prepare,
     verify_monomial,
 )
 from .errors import (InconclusiveError, InternalError, PurityError,
@@ -69,7 +68,6 @@ __all__ = [
     "monomialize",
     "mul",
     "nu_t",
-    "prepare",
     "scale",
     "sub",
     "term_mul",

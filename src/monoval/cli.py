@@ -42,7 +42,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, replace
 
 from . import hahn
 from .coeff import (CoeffError, GroundField, ParseError, Tower,
@@ -57,6 +56,7 @@ from .engine import (
 from .errors import InconclusiveError, InternalError, StructureError
 from .hahn import APFamily, Budget, FiniteTerms, HahnStream
 from .lexgroup import INFINITY, DimensionError, echelon_reduce
+from .record import Record
 
 
 # ------------------------------------------------------- text helpers
@@ -289,15 +289,15 @@ def _check_budget(key, value):
     return value
 
 
-@dataclass
-class SpecDoc:
+class SpecDoc(Record):
     """A parsed spec file: the engine input plus the presentation
     details (which budget keys the file stated, the verification
     sample degree) needed to reproduce it."""
 
-    spec: ValuationSpec
-    budget_keys: tuple = ()
-    trunc_degree: object = None
+    __slots__ = ("spec", "budget_keys", "trunc_degree")
+
+    def __init__(self, spec, budget_keys=(), trunc_degree=None):
+        self._init(spec, budget_keys, trunc_degree)
 
 
 def parse_spec(text):
@@ -382,7 +382,8 @@ def parse_spec(text):
             raise ParseError("missing image for %s" % name)
         images.append(parse_stream(image_texts[name], tower, m))
 
-    budget = Budget(max_terms=budgets.get("max_terms", Budget.max_terms),
+    budget = Budget(max_terms=budgets.get("max_terms",
+                                          hahn.DEFAULT_BUDGET.max_terms),
                     lex_ceiling=budgets.get("lex_ceiling"))
     spec = ValuationSpec(tower=tower, m=m, names=names,
                          images=tuple(images), symbols=symbols,
@@ -577,10 +578,9 @@ def _print_result_text(doc, result, out):
         out.write("  %s -> %s%s\n" % (name, format_stream(stream), cert))
     out.write("residues (%d):\n" % len(result.residues))
     for rec in result.residues:
-        out.write("  %s = %s\n"
-                  % (rec.symbol,
-                     _representative_text(names, rec.var,
-                                          rec.denominator)))
+        out.write("  %s -> %s\n"
+                  % (_representative_text(names, rec.var, rec.denominator),
+                     rec.alpha))
     out.write("final monomial values:\n")
     for name, value in zip(names, result.final_L):
         out.write("  %s -> %s\n" % (name, _vec_text(value)))
@@ -597,19 +597,18 @@ def _apply_overrides(doc, args):
     spec = doc.spec
     budget = spec.budget
     if args.max_terms is not None:
-        budget = replace(budget, max_terms=args.max_terms)
+        budget = budget.replace(max_terms=args.max_terms)
     if args.lex_ceiling is not None:
-        budget = replace(budget,
-                         lex_ceiling=_parse_vec(args.lex_ceiling, spec.m))
+        budget = budget.replace(
+            lex_ceiling=_parse_vec(args.lex_ceiling, spec.m))
     if budget is not spec.budget:
-        spec = replace(spec, budget=budget)
+        spec = spec.replace(budget=budget)
     if args.max_steps is not None:
-        spec = replace(spec, max_steps=args.max_steps)
+        spec = spec.replace(max_steps=args.max_steps)
     trunc = doc.trunc_degree
     if args.trunc_degree is not None:
         trunc = args.trunc_degree
-    return SpecDoc(spec=spec, budget_keys=doc.budget_keys,
-                   trunc_degree=trunc)
+    return doc.replace(spec=spec, trunc_degree=trunc)
 
 
 def cmd_basis(args):

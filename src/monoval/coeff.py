@@ -43,9 +43,10 @@ those symbols.
 
 import re
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
+
+from .record import Record
 
 
 class CoeffError(ValueError):
@@ -73,15 +74,15 @@ def _is_prime(p):
     return True
 
 
-@dataclass(frozen=True)
-class GroundField:
+class GroundField(Record):
     """Q (p is None) or the prime field F_p."""
 
-    p: object = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
-            raise CoeffError("%r is not prime" % (self.p,))
+    def __init__(self, p=None):
+        if p is not None and not _is_prime(p):
+            raise CoeffError("%r is not prime" % (p,))
+        self._init(p)
 
     @classmethod
     def rationals(cls):
@@ -259,8 +260,12 @@ class Tower:
         return self._mono(n % self._p if self._p else n, self._no_exps)
 
     def from_fraction(self, q):
-        q = Fraction(q)
-        return self.from_int(q.numerator) / self.from_int(q.denominator)
+        q, p = Fraction(q), self._p
+        if not p:
+            return self._mono(_norm(q), self._no_exps)
+        if not q.denominator % p:
+            raise ZeroDivisionError("division by zero in %s" % (self,))
+        return self.from_int(q.numerator * _inv(q.denominator, p))
 
     def gen(self, name):
         try:

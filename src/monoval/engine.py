@@ -26,10 +26,8 @@ monomial valuation.
 """
 
 import random
-from dataclasses import dataclass, field as dataclass_field, replace
 
 from . import hahn
-from .coeff import Tower
 from .errors import (InconclusiveError, InternalError, PurityError,
                      StructureError)
 from .hahn import (
@@ -49,58 +47,55 @@ from .lexgroup import (
     vadd,
     vscale,
 )
+from .record import Record
 
 
 # --------------------------------------------------------------- log
 
 
-@dataclass(frozen=True)
-class Monoidal:
+class Monoidal(Record):
     """X_l = Y_l * Y_i**q (variables by 0-based index, q >= 1)."""
-    l: int
-    i: int
-    q: int
+    __slots__ = ("l", "i", "q")
+
+    def __init__(self, l, i, q):
+        self._init(l, i, q)
 
 
-@dataclass(frozen=True)
-class CoordChange:
+class CoordChange(Record):
     """X_j = Z_j + sum of alpha * Z**R (+ an optional infinite family
     of such terms, exponents start + (i-1)*step over the variables)."""
-    j: int
-    terms: tuple
-    tail: object = None
+    __slots__ = ("j", "terms", "tail")
+
+    def __init__(self, j, terms, tail=None):
+        self._init(j, terms, tail)
 
 
 # ------------------------------------------------------------- input
 
 
-@dataclass(frozen=True)
-class ValuationSpec:
+class ValuationSpec(Record):
     """A rank-m valuation on k((X_1..X_n)) centered in k[[X]],
     presented by the images phi(X_i) and the declared transcendental
     residue symbols in their intended discovery order."""
 
-    tower: Tower
-    m: int
-    names: tuple
-    images: tuple
-    symbols: tuple = ()
-    max_steps: int = 64
-    budget: object = DEFAULT_BUDGET
+    __slots__ = ("tower", "m", "names", "images", "symbols", "max_steps",
+                 "budget")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, tower, m, names, images, symbols=(), max_steps=64,
+                 budget=DEFAULT_BUDGET):
+        if m < 1:
             raise StructureError("rank m must be at least 1")
-        if len(self.images) != len(self.names):
+        if len(images) != len(names):
             raise StructureError("need exactly one image per variable")
-        if len(self.names) - self.m != len(self.symbols):
+        if len(names) - m != len(symbols):
             raise StructureError(
                 "maximal dimension requires %d declared residue symbols, "
-                "got %d" % (len(self.names) - self.m, len(self.symbols)))
-        for s in self.symbols:
-            if s not in self.tower.symbols:
+                "got %d" % (len(names) - m, len(symbols)))
+        for s in symbols:
+            if s not in tower.symbols:
                 raise StructureError("symbol %r missing from the "
                                      "coefficient tower" % (s,))
+        self._init(tower, m, names, images, symbols, max_steps, budget)
 
     @property
     def n(self):
@@ -110,63 +105,64 @@ class ValuationSpec:
 # ----------------------------------------------------------- results
 
 
-@dataclass(frozen=True)
-class TermStep:
+class TermStep(Record):
     """One finite subtraction: alpha * Y^R cancelled the value B.
-    `stream` keeps the exact t-side series that was subtracted."""
-    alpha: object
-    R: tuple
-    B: tuple
-    stream: object = dataclass_field(default=None, compare=False,
-                                     repr=False)
+    `stream` keeps the exact t-side series that was subtracted; it is
+    left out of equality, hash and repr."""
+    __slots__ = ("alpha", "R", "B", "stream")
+    _hidden = ("stream",)
+
+    def __init__(self, alpha, R, B, stream=None):
+        self._init(alpha, R, B, stream)
 
     def t_stream(self):
         return self.stream
 
 
-@dataclass(frozen=True)
-class FamilyStep:
+class FamilyStep(Record):
     """One limit step: the whole family (Y-side closed form `yfam`,
     t-side form `tfam`) removed at once starting at value B."""
-    yfam: APFamily
-    tfam: APFamily
-    B: tuple
+    __slots__ = ("yfam", "tfam", "B")
+
+    def __init__(self, yfam, tfam, B):
+        self._init(yfam, tfam, B)
 
     def t_stream(self):
         return HahnStream((self.tfam,))
 
 
-@dataclass(frozen=True)
-class SettledVar:
+class SettledVar(Record):
     """Final record for one variable: a basis carrier or a
-    transcendental residue, with the corrections spent on it."""
-    var: int
-    kind: str                  # "carrier" | "residue"
-    value: tuple
-    corrections: tuple = ()
-    symbol: str = None
-    alpha: object = None       # trailing coefficient (residue case)
-    denominator: tuple = None  # R_B of the residue representative
+    transcendental residue, with the corrections spent on it.  `kind`
+    is "carrier" or "residue"; a residue has its `symbol`, its
+    trailing coefficient `alpha` and the `denominator` R_B of its
+    representative."""
+    __slots__ = ("var", "kind", "value", "corrections", "symbol", "alpha",
+                 "denominator")
+
+    def __init__(self, var, kind, value, corrections=(), symbol=None,
+                 alpha=None, denominator=None):
+        self._init(var, kind, value, corrections, symbol, alpha, denominator)
 
 
-@dataclass(frozen=True)
-class MonomializationResult:
-    spec: ValuationSpec
-    basis: object
-    carriers: tuple
-    log: tuple                 # Monoidal and CoordChange entries
-    settled: tuple             # one SettledVar per variable
-    residues: tuple            # the settled residues, in index order
-    final_L: tuple
-    psi: tuple
-    zetas: tuple               # images of the final coordinates Z_i
+class MonomializationResult(Record):
+    """`log` holds Monoidal and CoordChange entries, `settled` one
+    SettledVar per variable, `residues` the settled residues in index
+    order, `zetas` the images of the final coordinates Z_i."""
+    __slots__ = ("spec", "basis", "carriers", "log", "settled", "residues",
+                 "final_L", "psi", "zetas")
+
+    def __init__(self, spec, basis, carriers, log, settled, residues,
+                 final_L, psi, zetas):
+        self._init(spec, basis, carriers, log, settled, residues, final_L,
+                   psi, zetas)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    checked: int
-    mismatches: tuple
-    inconclusive: int
+class VerifyReport(Record):
+    __slots__ = ("checked", "mismatches", "inconclusive")
+
+    def __init__(self, checked, mismatches, inconclusive):
+        self._init(checked, mismatches, inconclusive)
 
     @property
     def ok(self):
@@ -609,14 +605,6 @@ class EngineState:
 
 
 # ------------------------------------------------------- public ops
-
-
-def prepare(spec):
-    """One preparation round: (prepared spec, basis, log)."""
-    state = EngineState(spec)
-    sb = state.prepare()
-    prepared = replace(spec, images=tuple(state.images))
-    return prepared, sb, tuple(state.log)
 
 
 def monomialize(spec):

@@ -27,7 +27,6 @@ InconclusiveError rather than guessing.
 """
 
 import heapq
-from dataclasses import dataclass, replace
 from math import comb
 
 from .errors import InconclusiveError
@@ -40,6 +39,7 @@ from .lexgroup import (
     vscale,
     vsub,
 )
+from .record import Record
 
 
 class NoLimitError(ValueError):
@@ -47,15 +47,15 @@ class NoLimitError(ValueError):
     stream, so no limit step applies."""
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Enumeration limits: max_terms per stream, a total work bound
     (raw candidate terms processed), an optional global lex ceiling,
     and the depth of geometric inverse expansions."""
 
-    max_terms: int = 256
-    lex_ceiling: object = None
-    inv_depth: int = 16
+    __slots__ = ("max_terms", "lex_ceiling", "inv_depth")
+
+    def __init__(self, max_terms=256, lex_ceiling=None, inv_depth=16):
+        self._init(max_terms, lex_ceiling, inv_depth)
 
     @property
     def work(self):
@@ -65,41 +65,38 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass(frozen=True)
-class FiniteTerms:
+class FiniteTerms(Record):
     """Strictly increasing (exponent, coefficient) pairs, coefficients
     nonzero.  Built through canonicalization only."""
 
-    terms: tuple
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self._init(terms)
 
     def first_exponent(self):
         return self.terms[0][0]
 
 
-@dataclass(frozen=True)
-class APFamily:
+class APFamily(Record):
     """Sum over i of  c * i^e * r^i  at exponent start + (i-1)*step.
 
     count is None for an infinite family, else the last index N.
     """
 
-    start: tuple
-    step: tuple
-    c: object
-    e: int = 0
-    r: object = None
-    count: object = None
+    __slots__ = ("start", "step", "c", "e", "r", "count")
 
-    def __post_init__(self):
-        if not is_lex_positive(self.step):
+    def __init__(self, start, step, c, e=0, r=None, count=None):
+        if not is_lex_positive(step):
             raise ValueError("family step %r must be lex-positive"
-                             % (self.step,))
-        if self.e < 0:
+                             % (step,))
+        if e < 0:
             raise ValueError("negative index power")
-        if self.count is not None and self.count < 1:
+        if count is not None and count < 1:
             raise ValueError("empty index range")
-        if len(self.start) != len(self.step):
+        if len(start) != len(step):
             raise ValueError("start and step rank differ")
+        self._init(start, step, c, e, r, count)
 
     def exponent(self, i):
         return vadd(self.start, vscale(i - 1, self.step))
@@ -118,10 +115,10 @@ class APFamily:
         return self.coeff(1)
 
     def scaled(self, beta):
-        return replace(self, c=self.c * beta)
+        return self.replace(c=self.c * beta)
 
     def shifted(self, exp):
-        return replace(self, start=vadd(self.start, exp))
+        return self.replace(start=vadd(self.start, exp))
 
     def advanced(self):
         """Head term plus the rest as a list of families: re-index
@@ -479,7 +476,7 @@ def neg(a):
         if isinstance(seg, FiniteTerms):
             segs.append(FiniteTerms(tuple((e, -c) for e, c in seg.terms)))
         else:
-            segs.append(replace(seg, c=-seg.c))
+            segs.append(seg.replace(c=-seg.c))
     return HahnStream(tuple(segs), a.cert)
 
 
@@ -771,7 +768,7 @@ def inverse(s, budget=DEFAULT_BUDGET):
     # The expansion only has to be certified deep enough, not wide, so
     # it runs under a tight term cap of its own.
     tight = budget if budget.max_terms <= 64 else \
-        replace(budget, max_terms=64)
+        budget.replace(max_terms=64)
     if any(isinstance(seg, APFamily) for seg in s.segments):
         # working from a certified finite prefix keeps every power in
         # the expansion finite, so no family boxes pile up below

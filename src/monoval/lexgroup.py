@@ -16,7 +16,8 @@ All functions are pure and all returned containers are immutable.
 """
 
 import operator
-from dataclasses import dataclass
+
+from .record import Record
 
 
 class DimensionError(ValueError):
@@ -128,8 +129,7 @@ def degree_L(A, L):
     return tuple(total)
 
 
-@dataclass(frozen=True)
-class AddRow:
+class AddRow(Record):
     """Row operation F_{l,i}(q): row l += q * row i.
 
     Indices are 0-based variable indices, stable across reorderings.
@@ -137,9 +137,10 @@ class AddRow:
     X_l -> Y_l * Y_i (the image of X_l gets divided by the image of
     X_i, q_l times).
     """
-    l: int
-    i: int
-    q: int
+    __slots__ = ("l", "i", "q")
+
+    def __init__(self, l, i, q):
+        self._init(l, i, q)
 
 
 def replay_rowops(rows, ops):
@@ -154,17 +155,17 @@ def replay_rowops(rows, ops):
     return out
 
 
-@dataclass(frozen=True)
-class SubgroupBasis:
+class SubgroupBasis(Record):
     """Echelon basis of a subgroup of Z^m.
 
     basis[k] has its first nonzero entry (the pivot, equal to
     pivots[k] > 0) in column pivot_cols[k]; pivot columns strictly
     increase, so basis[0] is the lex-largest basis vector.
     """
-    basis: tuple
-    pivots: tuple
-    pivot_cols: tuple
+    __slots__ = ("basis", "pivots", "pivot_cols")
+
+    def __init__(self, basis, pivots, pivot_cols):
+        self._init(basis, pivots, pivot_cols)
 
     @property
     def rank(self):

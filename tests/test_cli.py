@@ -244,9 +244,25 @@ def test_monomialize_text_report(capsys):
     assert cli.main(["monomialize", EXAMPLE]) == 0
     out = capsys.readouterr().out
     assert "monoidal X4 -> Y4*Y1^2" in out
-    assert "u3 = X3/X1" in out
+    assert "X3/X1 -> u3" in out
     assert "X2 -> (0,1,0)" in out
     assert "X4 -> (1,0,0)" in out
+
+
+def test_text_report_maps_representative_to_its_residue(tmp_path, capsys):
+    # the residue of X2/X1 is 1/u, not u: the report must not claim
+    # an equation between the symbol and the representative
+    path = tmp_path / "inverse.vspec"
+    path.write_text(
+        "field rationals\nrank 1\nvars X1 X2\nsymbols u\n"
+        "image X1 = terms[(1): 1]\nimage X2 = terms[(1): 1/u]\n")
+    assert cli.main(["monomialize", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "  X2/X1 -> 1/u\n" in out
+    assert "u = X2/X1" not in out
+    assert cli.main(["monomialize", "--json", str(path)]) == 0
+    residue, = json.loads(capsys.readouterr().out)["residues"]
+    assert residue["alpha"] == "1/u"
 
 
 # ----------------------------------------------------- error paths
@@ -354,6 +370,7 @@ def test_module_entry_point():
 
 _RUN_IN_CHILD = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from monoval import cli
 runs = []
 for argv in json.loads(sys.argv[1]):
@@ -361,13 +378,15 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     runs.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps({"runs": runs, "modules": sorted(sys.modules)}))
+print(json.dumps({"runs": runs, "modules": sorted(sys.modules),
+                  "added": sorted(set(sys.modules) - before)}))
 """
 
 
 def _run_in_child(commands):
     """Run `cli.main` on each argv list in one fresh interpreter; return
-    the (code, stdout, stderr) triples and the set of modules loaded."""
+    the (code, stdout, stderr) triples, the set of modules loaded and
+    the set of those that importing and running monoval added."""
     src = str(Path(cli.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
@@ -377,7 +396,7 @@ def _run_in_child(commands):
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    return result["runs"], set(result["modules"])
+    return result["runs"], set(result["modules"]), set(result["added"])
 
 
 def test_shipped_commands_do_not_import_sympy():
@@ -388,7 +407,7 @@ def test_shipped_commands_do_not_import_sympy():
     commands += [["value", EXAMPLE, "X2 - X1"],
                  ["monomialize", STARVED],
                  ["monomialize", PURITY]]
-    runs, loaded = _run_in_child(commands)
+    runs, loaded, added = _run_in_child(commands)
     assert [code for code, _, _ in runs] == [0, 0, 0, 0, 0, 3, 4]
     golden = (GOLDEN / "example_f5_monomialize.json").read_text()
     assert runs[0][1] == golden
@@ -396,6 +415,8 @@ def test_shipped_commands_do_not_import_sympy():
                for _, out, _ in runs[1:4])
     assert runs[4][1] == "(0,0,2)\n"
     assert "sympy" not in loaded
+    # records are plain classes: no per-process dataclass code generation
+    assert not {"dataclasses", "inspect"} & added
     package = {"monoval"} | {"monoval." + path.stem
                              for path in SPECS.parent.glob("*.py")
                              if path.stem != "__init__"}
@@ -411,7 +432,7 @@ def test_fraction_coefficient_loads_sympy_on_demand(tmp_path):
     assert text.count(old) == 1
     spec = tmp_path / "example_f5_fraction.vspec"
     spec.write_text(text.replace(old, new.replace(" ", "")))
-    runs, loaded = _run_in_child([
+    runs, loaded, _ = _run_in_child([
         ["monomialize", "--json", str(spec)],
         ["verify", str(spec), "--seed", "1"]])
     assert "sympy" in loaded

@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -255,6 +256,24 @@ def test_characteristic_collapse():
     assert t.from_int(5).is_zero
     assert (t.gen("w") * 5).is_zero
     assert t.from_int(7) == t.from_int(2)
+
+
+@pytest.mark.parametrize("ground", [Q, F5, GroundField.prime(7)], ids=str)
+def test_from_fraction_is_the_quotient_of_ints(ground):
+    t = Tower(ground, ("w",))
+    args = [0, 1, -1, 3, -12, 7, Fraction(-9, 4), "10/6", "-35/14", "22/7",
+            "0/9"]
+    args += ["%d/%d" % (n, d) for n in range(-8, 9) for d in range(1, 9)]
+    for arg in args:
+        q = Fraction(arg)
+        den = t.from_int(q.denominator)
+        if den.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                t.from_fraction(arg)
+            continue
+        got, want = t.from_fraction(arg), t.from_int(q.numerator) / den
+        assert got == want, arg
+        assert type(got.scalar) is type(want.scalar), arg
 
 
 def _random_poly(rng, tower):

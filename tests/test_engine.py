@@ -5,7 +5,6 @@ recomposition property check.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -21,7 +20,6 @@ from monoval.engine import (
     ValuationSpec,
     VerifyReport,
     monomialize,
-    prepare,
     verify_monomial,
 )
 from monoval.errors import InconclusiveError, PurityError, StructureError
@@ -60,9 +58,10 @@ def two_var_spec(second_image, symbols=("u",), m=1, max_steps=64):
 # ------------------------------------------------------------ prepare
 
 def test_prepare_example_one_monoidal():
-    prepped, sb, log = prepare(example_spec())
-    assert list(log) == [Monoidal(3, 0, 2)]
-    assert [nu_t(im) for im in prepped.images] == [(0, 0, 1)] * 4
+    state = EngineState(example_spec())
+    sb = state.prepare()
+    assert list(state.log) == [Monoidal(3, 0, 2)]
+    assert [nu_t(im) for im in state.images] == [(0, 0, 1)] * 4
     assert sb.basis == ((0, 0, 1),)
 
 
@@ -71,8 +70,9 @@ def test_prepare_already_basis_empty_log():
                                    Q.one) for i in range(3))
     spec = ValuationSpec(tower=Q, m=3, names=("X1", "X2", "X3"),
                          images=imgs)
-    prepped, sb, log = prepare(spec)
-    assert len(log) == 0
+    state = EngineState(spec)
+    sb = state.prepare()
+    assert len(state.log) == 0
     assert sb.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -80,12 +80,13 @@ def test_prepare_2335_values_form_basis_of_z2():
     spec = ValuationSpec(tower=Q, m=2, names=("X1", "X2"),
                          images=(HahnStream.single((2, 3), Q.one),
                                  HahnStream.single((3, 5), Q.one)))
-    prepped, sb, log = prepare(spec)
-    vals = [nu_t(im) for im in prepped.images]
+    state = EngineState(spec)
+    sb = state.prepare()
+    vals = [nu_t(im) for im in state.images]
     assert sorted(vals) == sorted(sb.basis)
     # (2,3) and (3,5) generate all of Z^2, so the basis must too
     assert sb.contains((1, 0)) and sb.contains((0, 1))
-    for entry in log:
+    for entry in state.log:
         assert isinstance(entry, Monoidal) and entry.q >= 1
 
 
@@ -93,7 +94,7 @@ def test_prepare_rejects_nonpositive_value():
     spec = ValuationSpec(tower=Q, m=1, names=("X1",),
                          images=(HahnStream.single((-1,), Q.one),))
     with pytest.raises(StructureError):
-        prepare(spec)
+        EngineState(spec).prepare()
 
 
 # ----------------------------------------------------------- discover
@@ -269,7 +270,7 @@ def test_verify_reports_a_wrong_final_value():
     final_L = list(res.final_L)
     assert final_L[1] == (0, 1, 0)
     final_L[1] = (0, 1, 1)
-    report = verify_monomial(replace(res, final_L=tuple(final_L)),
+    report = verify_monomial(res.replace(final_L=tuple(final_L)),
                              rng=random.Random(1))
     assert not report.ok
     for bad in report.mismatches:
@@ -285,7 +286,7 @@ def test_verify_reports_images_whose_initial_forms_cancel(monkeypatch):
     assert res.final_L[0] == res.final_L[2]
     zetas = list(res.zetas)
     zetas[2] = zetas[0]
-    bad_res = replace(res, zetas=tuple(zetas))
+    bad_res = res.replace(zetas=tuple(zetas))
     streamed = []
     real_eval_poly = hahn.eval_poly
 
@@ -531,7 +532,7 @@ def test_max_steps_stop_names_its_budget():
 
 def test_no_leading_term_keeps_the_budget_that_stopped_it():
     second = HahnStream((FiniteTerms((((1,), QU.one), ((5,), QU.gen("u")))),))
-    spec = replace(two_var_spec(second), budget=Budget(lex_ceiling=(3,)))
+    spec = two_var_spec(second).replace(budget=Budget(lex_ceiling=(3,)))
     with pytest.raises(InconclusiveError) as exc:
         monomialize(spec)
     assert "lex_ceiling (3,)" in str(exc.value)
