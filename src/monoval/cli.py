@@ -504,11 +504,15 @@ def _log_entry_json(names, entry):
                 "partner": names[entry.i], "q": entry.q,
                 "reading": _monoidal_reading(names, entry)}
     if isinstance(entry, CoordChange):
+        # the finite summands in step order, then the families
+        fams = [s for s in entry.correction if isinstance(s, APFamily)]
         return {"kind": "coordinate_change", "var": names[entry.j],
                 "terms": [{"alpha": str(alpha), "R": list(R)}
-                          for alpha, R in entry.terms],
-                "tail": None if entry.tail is None else
-                format_stream(HahnStream((entry.tail,)))}
+                          for s in entry.correction
+                          if isinstance(s, FiniteTerms)
+                          for R, alpha in s.terms],
+                "tail": format_stream(HahnStream(tuple(fams))) if fams
+                else None}
     raise TypeError("unknown log entry %r" % (entry,))
 
 
@@ -516,9 +520,10 @@ def _log_entry_text(names, entry):
     if isinstance(entry, Monoidal):
         return "monoidal %s" % _monoidal_reading(names, entry)
     correction = " + ".join(
-        ["%s*Y^%s" % (alpha, _vec_text(R)) for alpha, R in entry.terms]
-        + ([format_stream(HahnStream((entry.tail,)))]
-           if entry.tail is not None else []))
+        format_stream(HahnStream((s,))) if isinstance(s, APFamily)
+        else " + ".join(
+            "%s*Y^%s" % (alpha, _vec_text(R)) for R, alpha in s.terms)
+        for s in entry.correction)
     return "coordinate change %s = Z + %s" % (names[entry.j], correction)
 
 
@@ -611,16 +616,18 @@ def _apply_overrides(doc, args):
     return doc.replace(spec=spec, trunc_degree=trunc)
 
 
+def _image_value(spec, k):
+    v = hahn.nu_t(spec.images[k], spec.budget)
+    if v is INFINITY:
+        raise StructureError("image of %s is zero; values must be "
+                             "lex-positive" % spec.names[k])
+    return v
+
+
 def cmd_basis(args):
     doc = _apply_overrides(load_spec(args.spec), args)
     spec = doc.spec
-    values = []
-    for name, image in zip(spec.names, spec.images):
-        v = hahn.nu_t(image, spec.budget)
-        if v is INFINITY:
-            raise StructureError(
-                "image of %s is zero; values must be lex-positive" % name)
-        values.append(v)
+    values = [_image_value(spec, k) for k in range(spec.n)]
     sb, ops = echelon_reduce(values)
     readings = [_monoidal_reading(spec.names,
                                   Monoidal(op.l, op.i, -op.q))
@@ -658,6 +665,10 @@ def cmd_value(args):
     spec = doc.spec
     poly = parse_poly(args.expr, spec.tower, spec.names)
     try:
+        # a zero image has no inverse
+        for k in range(spec.n):
+            if any(exps[k] < 0 for exps in poly):
+                _image_value(spec, k)
         total = hahn.eval_poly(poly, lambda exps: hahn.monomial_image(
             exps, spec.images, spec.budget))
         value = hahn.nu_t(total, spec.budget)

@@ -13,16 +13,17 @@ variable.  The run proceeds in rounds:
    either subtract alpha * phi(Y^R) (finite step), remove a whole
    matching closed-form family at once (limit step), adjoin the next
    declared transcendental residue, or — when B falls outside the
-   group — absorb the accumulated corrections into a coordinate
-   change and restart at 1 with the extended value group.
+   group — absorb the accumulated corrections, finite and limit steps
+   in the order they were found, into one coordinate change and
+   restart at 1 with the extended value group.
 
 Across restarts either the group rank grows or the echelon pivot
 tuple strictly improves; this is asserted and bounds the run.  The
 final assembly composes the per-variable data back through the
-monoidal log into the original variables: psi streams, the images
-of the final coordinates, the list of transcendental residues with
+monoidal log into the original variables: the images of the final
+coordinates, the list of transcendental residues with
 representatives, and final_L — the exponent data of the resulting
-monomial valuation.
+monomial valuation.  The result's psi is the input images as given.
 """
 
 import random
@@ -62,12 +63,14 @@ class Monoidal(Record):
 
 
 class CoordChange(Record):
-    """X_j = Z_j + sum of alpha * Z**R (+ an optional infinite family
-    of such terms, exponents start + (i-1)*step over the variables)."""
-    __slots__ = ("j", "terms", "tail")
+    """X_j = Z_j + the sum of `correction`, a tuple of summands in the
+    order the run found them: a FiniteTerms of one term alpha * Z**R
+    per finite step, an APFamily (exponents start + (i-1)*step over
+    the variables) per limit step."""
+    __slots__ = ("j", "correction")
 
-    def __init__(self, j, terms, tail=None):
-        self._init(j, terms, tail)
+    def __init__(self, j, correction):
+        self._init(j, correction)
 
 
 # ------------------------------------------------------------- input
@@ -106,29 +109,20 @@ class ValuationSpec(Record):
 
 
 class TermStep(Record):
-    """One finite subtraction: alpha * Y^R cancelled the value B.
-    `stream` keeps the exact t-side series that was subtracted; it is
-    left out of equality, hash and repr."""
-    __slots__ = ("alpha", "R", "B", "stream")
-    _hidden = ("stream",)
+    """One finite subtraction: alpha * Y^R cancelled the value B."""
+    __slots__ = ("alpha", "R", "B")
 
-    def __init__(self, alpha, R, B, stream=None):
-        self._init(alpha, R, B, stream)
-
-    def t_stream(self):
-        return self.stream
+    def __init__(self, alpha, R, B):
+        self._init(alpha, R, B)
 
 
 class FamilyStep(Record):
-    """One limit step: the whole family (Y-side closed form `yfam`,
-    t-side form `tfam`) removed at once starting at value B."""
-    __slots__ = ("yfam", "tfam", "B")
+    """One limit step: the whole family, in closed form `yfam` over
+    the variables, removed at once starting at value B."""
+    __slots__ = ("yfam", "B")
 
-    def __init__(self, yfam, tfam, B):
-        self._init(yfam, tfam, B)
-
-    def t_stream(self):
-        return HahnStream((self.tfam,))
+    def __init__(self, yfam, B):
+        self._init(yfam, B)
 
 
 class SettledVar(Record):
@@ -148,7 +142,8 @@ class SettledVar(Record):
 class MonomializationResult(Record):
     """`log` holds Monoidal and CoordChange entries, `settled` one
     SettledVar per variable, `residues` the settled residues in index
-    order, `zetas` the images of the final coordinates Z_i."""
+    order, `psi` the input images, `zetas` the images of the final
+    coordinates Z_i."""
     __slots__ = ("spec", "basis", "carriers", "log", "settled", "residues",
                  "final_L", "psi", "zetas")
 
@@ -223,14 +218,10 @@ class EngineState:
         self.sb = None
         self.carriers = []
         self._remainders = {}
-        # correction series removed from a variable's image by a
-        # coordinate change, needed to reassemble the original psi
-        self._cc_streams = {}
         # composition of the original variables as monomials in the
         # current ones: orig X_i = prod of current Y_l ** expr[i][l]
         self.orig_expr = [[1 if a == b else 0 for b in range(self.n)]
                           for a in range(self.n)]
-        self._restarts = 0
 
     # -- values ------------------------------------------------------
 
@@ -278,12 +269,6 @@ class EngineState:
             raise InternalError("monoidal with q=%d" % q)
         factor = hahn.stream_pow(self.images[i], -q, self.budget)
         self.images[l] = hahn.mul(self.images[l], factor, self.budget)
-        if l in self._cc_streams:
-            # corrections removed from l earlier live one coordinate
-            # level up; carry them along so the reassembly identity
-            # (image + corrections) * partners stays true
-            self._cc_streams[l] = [hahn.mul(c, factor, self.budget)
-                                   for c in self._cc_streams[l]]
         for row in self.orig_expr:
             if row[l]:
                 row[i] += q * row[l]
@@ -362,7 +347,8 @@ class EngineState:
                 R = solve_in_basis(B, self.sb, self.n,
                                    tuple(self.carriers))
             except NotInSubgroup:
-                self._emit_coordchange(j, corrections, working)
+                self._log_coordchange(j, corrections)
+                self.images[j] = working
                 return "restart"
 
             gY = hahn.monomial_image(R, self.images, self.budget)
@@ -394,7 +380,7 @@ class EngineState:
                             "limit": self.spec.max_steps})
             piece = hahn.scale(gY, alpha)
             working = hahn.sub(working, piece)
-            corrections.append(TermStep(alpha, R, B, piece))
+            corrections.append(TermStep(alpha, R, B))
             subtracted.append(B)
 
     def _match_limit_family(self, working, B, lc):
@@ -446,7 +432,7 @@ class EngineState:
             remainder = hahn.subtract_segment_limit(working, fam)
         except NoLimitError:
             return None
-        return FamilyStep(yfam, fam, B), remainder
+        return FamilyStep(yfam, B), remainder
 
     def _settle_residue(self, j, B, lc, alpha, R, corrections, working):
         name = self.spec.names[j]
@@ -483,35 +469,16 @@ class EngineState:
         # the final variable Z_j; keep it for assembly
         self._remainders[j] = working
 
-    def _coordchange_entry(self, j, corrections):
-        terms = []
-        tail = None
-        for step in corrections:
-            if isinstance(step, TermStep):
-                if tail is not None:
-                    raise InternalError(
-                        "finite corrections after a limit step on %s are "
-                        "not representable" % self.spec.names[j])
-                terms.append((step.alpha, step.R))
-            else:
-                if tail is not None:
-                    raise InternalError("two limit families on %s in one "
-                                        "round" % self.spec.names[j])
-                tail = step.yfam
-        return CoordChange(j, tuple(terms), tail)
-
-    def _emit_coordchange(self, j, corrections, remainder):
-        entry = self._coordchange_entry(j, corrections)
+    def _log_coordchange(self, j, corrections):
         for i, row in enumerate(self.orig_expr):
             if i != j and row[j]:
                 raise InternalError(
-                    "variable %s is both a monoidal partner and "
-                    "coordinate-changed" % self.spec.names[j])
-        self.log.append(entry)
-        self._cc_streams.setdefault(j, []).extend(
-            step.t_stream() for step in corrections)
-        self.images[j] = remainder
-        self._restarts += 1
+                    "%s needs a coordinate change but is a monoidal "
+                    "partner of %s" % (self.spec.names[j], self.spec.names[i]))
+        self.log.append(CoordChange(j, tuple(
+            FiniteTerms(((step.R, step.alpha),))
+            if isinstance(step, TermStep) else step.yfam
+            for step in corrections)))
 
     # -- main loop ---------------------------------------------------
 
@@ -547,18 +514,10 @@ class EngineState:
         # final coordinate changes for residues with corrections
         for j in range(self.n):
             rec = self.settled[j]
-            if rec.kind != "residue" or not rec.corrections:
-                continue
-            for i, row in enumerate(self.orig_expr):
-                if i != j and row[j]:
-                    raise InternalError(
-                        "residue variable %s needs a final coordinate "
-                        "change but is a monoidal partner of %s"
-                        % (self.spec.names[j], self.spec.names[i]))
-            self.log.append(self._coordchange_entry(j, rec.corrections))
+            if rec.kind == "residue" and rec.corrections:
+                self._log_coordchange(j, rec.corrections)
 
         final_L = []
-        psi = []
         zetas = []
         for i in range(self.n):
             row = self.orig_expr[i]
@@ -579,16 +538,10 @@ class EngineState:
                 shift = part if shift is None else vadd(shift, part)
             B = self.settled[i].value
             final_L.append(B if shift is None else vadd(B, shift))
-            full = self.images[i]
-            for removed in self._cc_streams.get(i, ()):
-                full = hahn.add(full, removed)
             zeta = self._remainders[i]
             if any(partners):
-                cofactor = hahn.monomial_image(partners, self.images,
-                                               self.budget)
-                full = hahn.mul(full, cofactor, self.budget)
-                zeta = hahn.mul(zeta, cofactor, self.budget)
-            psi.append(full)
+                zeta = hahn.mul(zeta, hahn.monomial_image(
+                    partners, self.images, self.budget), self.budget)
             zetas.append(zeta)
 
         settled = tuple(self.settled[j] for j in range(self.n))
@@ -601,7 +554,7 @@ class EngineState:
             carriers=tuple(self.carriers),
             log=tuple(self.log),
             settled=settled, residues=residues,
-            final_L=tuple(final_L), psi=tuple(psi), zetas=tuple(zetas))
+            final_L=tuple(final_L), psi=self.spec.images, zetas=tuple(zetas))
 
 
 # ------------------------------------------------------- public ops

@@ -3,8 +3,7 @@
 A record class lists its fields, in constructor order, in `__slots__`
 and stores them from its own `__init__` through `_init`.  The base
 class gives field-wise equality and hashing, a `Name(field=value, ...)`
-repr, and `replace(**changes)`; fields named in `_hidden` stay out of
-the first three.  Instances refuse attribute assignment.
+repr, and `replace(**changes)`.  Instances refuse attribute assignment.
 """
 
 from operator import attrgetter
@@ -12,14 +11,12 @@ from operator import attrgetter
 
 class Record:
     __slots__ = ()
-    _hidden = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._shown = tuple(f for f in cls.__slots__ if f not in cls._hidden)
-        get = attrgetter(*cls._shown)
-        # the tuple of shown fields, also for a single field
-        cls._key = staticmethod(get if len(cls._shown) > 1
+        get = attrgetter(*cls.__slots__)
+        # the tuple of fields, also for a single field
+        cls._key = staticmethod(get if len(cls.__slots__) > 1
                                 else lambda rec: (get(rec),))
 
     def _init(self, *values):
@@ -36,7 +33,7 @@ class Record:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % pair for pair in zip(self._shown, self._key(self))))
+            "%s=%r" % pair for pair in zip(self.__slots__, self._key(self))))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % (name,))

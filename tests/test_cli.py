@@ -134,6 +134,16 @@ def test_basis_rejects_zero_image(tmp_path, capsys):
     assert "zero" in capsys.readouterr().err
 
 
+def test_basis_json(capsys):
+    assert cli.main(["basis", EXAMPLE, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "values": [[0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 3]],
+        "basis": {"rows": [[0, 0, 1]], "pivots": [1], "pivot_cols": [2]},
+        "ops": [{"var": "X4", "partner": "X1", "q": 2,
+                 "reading": "X4 -> Y4*Y1^2"}],
+        "already_basis": False}
+
+
 # ----------------------------------------------------------- value
 
 def test_value_checkpoints(capsys):
@@ -153,6 +163,35 @@ def test_value_json(capsys):
     assert cli.main(["value", EXAMPLE, "X2 - X1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == \
         {"expr": "X2 - X1", "value": [0, 0, 2]}
+
+
+def test_value_past_the_lex_ceiling_is_inconclusive(capsys):
+    args = ["value", EXAMPLE, "X2 - X1", "--lex-ceiling", "(0,0,1)"]
+    reason = "lex ceiling exceeded: term (0, 0, 2) > lex_ceiling (0, 0, 1)"
+    assert cli.main(args + ["--json"]) == 3
+    assert json.loads(capsys.readouterr().out) == \
+        {"expr": "X2 - X1", "value": "inconclusive", "reason": reason}
+    assert cli.main(args) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("inconclusive\n", "  %s\n" % reason)
+
+
+def test_value_of_a_zero_image(tmp_path, capsys):
+    # the zero image has value infinity but no inverse: exit 4 with the
+    # message `basis` gives, not a traceback
+    path = tmp_path / "zero.vspec"
+    path.write_text(
+        "field rationals\nrank 1\nvars X1 X2\nsymbols u\n"
+        "image X1 = terms[(1): 1]\nimage X2 = terms[]\n")
+    assert cli.main(["value", str(path), "X2"]) == 0
+    assert capsys.readouterr().out == "infinity\n"
+    for expr in ("X2^-1", "X1 + X1^2*X2^-1"):
+        assert cli.main(["value", str(path), expr]) == 4
+        assert capsys.readouterr().err == (
+            "purity/dimension error: image of X2 is zero; values must be "
+            "lex-positive\n")
+    assert cli.main(["basis", str(path)]) == 4
+    assert "image of X2 is zero; " in capsys.readouterr().err
 
 
 def test_value_bad_expressions_exit_2(capsys):
@@ -296,19 +335,55 @@ _CHAIN = ("field rationals\nrank 2\nvars X1 X2 X3\nsymbols u\n"
           " + %s\n")
 
 
-@pytest.mark.parametrize("tail,fault", [
+@pytest.mark.parametrize("tail,log,residue", [
+    # Z3 = X3 - X1/(1-X1) - X2: a limit step, then a finite one
     ("terms[(1,0): 1, (1,1): u]",
-     "finite corrections after a limit step on X3 are not representable"),
+     "family[start=(1,0,0), step=(1,0,0), coeff=1, i=1..inf] "
+     "+ 1*Y^(0,1,0)", "X3/(X1*X2) -> u"),
+    # Z3 = X3 - X1/(1-X1) - X2*2X1/(1-2X1): two limit steps
     ("family[start=(1,1), step=(0,1), coeff=2^i, i=1..inf] "
-     "+ terms[(2,0): u]", "two limit families on X3 in one round"),
+     "+ terms[(2,0): u]",
+     "family[start=(1,0,0), step=(1,0,0), coeff=1, i=1..inf] "
+     "+ family[start=(1,1,0), step=(1,0,0), coeff=(2)^i, i=1..inf]",
+     "X3/X2^2 -> u"),
 ], ids=["terms-after-limit", "two-limits"])
-def test_internal_fault_exits_5_not_4(tail, fault, tmp_path, capsys):
-    # valid inputs of maximal dimension whose correction chains the log
-    # cannot represent: a fault of the program, not a purity verdict
+def test_omega_k_correction_chain_exits_0(tail, log, residue, tmp_path,
+                                          capsys):
+    # a correction chain of order type omega*k is one coordinate change
+    # that lists its summands in the order they were found
     spec = tmp_path / "chain.vspec"
     spec.write_text(_CHAIN % tail)
-    assert cli.main(["monomialize", str(spec)]) == 5
-    assert capsys.readouterr().err == "internal error: %s\n" % fault
+    assert cli.main(["monomialize", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert "transform log:\n  coordinate change X3 = Z + %s\nvalue" % log \
+        in out
+    assert "residues (1):\n  %s\n" % residue in out
+    assert cli.main(["verify", str(spec)]) == 0
+    assert capsys.readouterr().out == \
+        "checked 195 polynomials: 0 mismatches, 0 inconclusive\n"
+
+
+def test_coordinate_change_json_lists_terms_then_families(tmp_path,
+                                                          capsys):
+    spec = tmp_path / "chain.vspec"
+    spec.write_text(_CHAIN % "terms[(1,0): 1, (1,1): u]")
+    assert cli.main(["monomialize", "--json", str(spec)]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["log"]
+    assert entry == {
+        "kind": "coordinate_change", "var": "X3",
+        "terms": [{"alpha": "1", "R": [0, 1, 0]}],
+        "tail": "family[start=(1,0,0), step=(1,0,0), coeff=1, i=1..inf]"}
+
+
+def test_internal_fault_exits_5_not_4(monkeypatch, capsys):
+    # a broken invariant is a fault of the program, not a purity verdict
+    def fault(spec):
+        raise InternalError("restart made no progress")
+
+    monkeypatch.setattr(cli, "monomialize", fault)
+    assert cli.main(["monomialize", EXAMPLE]) == 5
+    assert capsys.readouterr().err == \
+        "internal error: restart made no progress\n"
     assert not issubclass(InternalError, StructureError)
 
 

@@ -107,9 +107,8 @@ def test_discover_limit_step_hits_new_value():
     assert state.discover(1) == "restart"
     cc = state.log[-1]
     assert isinstance(cc, CoordChange) and cc.j == 1
-    assert cc.terms == ()
-    assert cc.tail == APFamily((1, 0, 0, 0), (1, 0, 0, 0),
-                               F5U.one, 1, F5U.one, None)
+    assert cc.correction == (APFamily((1, 0, 0, 0), (1, 0, 0, 0),
+                                      F5U.one, 1, F5U.one, None),)
     assert nu_t(state.images[1]) == (0, 1, 0)
 
 
@@ -138,8 +137,8 @@ def test_discover_second_limit_after_residue():
     cc = state.log[-1]
     assert isinstance(cc, CoordChange) and cc.j == 3
     u3 = F5U.gen("u3")
-    assert cc.tail == APFamily((1, 0, 0, 0), (3, 0, 0, 0),
-                               F5U.one, 0, u3 ** 3, None)
+    assert cc.correction == (APFamily((1, 0, 0, 0), (3, 0, 0, 0),
+                                      F5U.one, 0, u3 ** 3, None),)
     assert nu_t(state.images[3]) == (1, 0, -2)
 
 
@@ -163,10 +162,10 @@ def test_full_example_log_and_assembly():
     u3 = F5U.gen("u3")
     assert list(res.log) == [
         Monoidal(3, 0, 2),
-        CoordChange(1, (), APFamily((1, 0, 0, 0), (1, 0, 0, 0),
-                                    F5U.one, 1, F5U.one, None)),
-        CoordChange(3, (), APFamily((1, 0, 0, 0), (3, 0, 0, 0),
-                                    F5U.one, 0, u3 ** 3, None)),
+        CoordChange(1, (APFamily((1, 0, 0, 0), (1, 0, 0, 0),
+                                 F5U.one, 1, F5U.one, None),)),
+        CoordChange(3, (APFamily((1, 0, 0, 0), (3, 0, 0, 0),
+                                 F5U.one, 0, u3 ** 3, None),)),
     ]
     assert res.basis.basis == ((1, 0, -2), (0, 1, 0), (0, 0, 1))
     assert res.carriers == (3, 1, 0)
@@ -216,7 +215,8 @@ def test_monomialize_subtraction_records_final_coordchange():
     u = QU.gen("u")
     img = HahnStream((FiniteTerms((((1,), QU.one), ((2,), u))),))
     res = monomialize(two_var_spec(img))
-    assert list(res.log) == [CoordChange(1, ((QU.one, (1, 0)),), None)]
+    assert list(res.log) == [
+        CoordChange(1, (FiniteTerms((((1, 0), QU.one),)),))]
     assert res.final_L == ((1,), (2,))
     assert first_terms(res.psi[1], 3) == [((1,), QU.one), ((2,), u)]
 

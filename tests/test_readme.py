@@ -1,12 +1,17 @@
 """README's library example runs, and its comments state what it
 returns: each top-level expression line `expr  # value ...` must print
-a repr that the comment starts with."""
+a repr that the comment starts with.  README's `monoval monomialize`
+sample is the command's output."""
 
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from monoval import cli
 
 ROOT = Path(__file__).parents[1]
 
@@ -39,3 +44,13 @@ def test_readme_library_example():
     assert len(printed) == len(claims)
     for (expr, comment), value in zip(claims, printed):
         assert comment.startswith(value), (expr, value, comment)
+
+
+def test_readme_monomialize_sample():
+    spec = "src/monoval/specs/example_f5.vspec"
+    readme = (ROOT / "README.md").read_text()
+    sample = readme.split("$ monoval monomialize %s\n" % spec, 1)[1]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["monomialize", str(ROOT / spec)]) == 0
+    assert out.getvalue() == sample.split("\n\n", 1)[0] + "\n"

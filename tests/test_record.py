@@ -3,7 +3,7 @@ hash, the `Name(field=value, ...)` repr, immutability, `replace`."""
 
 import pytest
 
-from monoval.engine import Monoidal, TermStep
+from monoval.engine import Monoidal
 from monoval.hahn import APFamily, Budget
 from monoval.lexgroup import AddRow
 
@@ -41,9 +41,3 @@ def test_replace_changes_fields_and_reruns_the_checks():
     with pytest.raises(ValueError, match="must be lex-positive"):
         fam.replace(step=(0, -1))
 
-
-def test_term_step_stream_stays_out_of_equality_hash_and_repr():
-    a, b = TermStep(1, (1,), (2,), stream="a"), TermStep(1, (1,), (2,))
-    assert a == b and hash(a) == hash(b)
-    assert repr(a) == "TermStep(alpha=1, R=(1,), B=(2,))"
-    assert a.replace(alpha=2).stream == "a"
