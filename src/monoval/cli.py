@@ -34,7 +34,8 @@ whose reduced form is a Laurent polynomial in the variables: so
 `(X1^2 - X2^2)/(X1 - X2)` but not `X1/(X1 + X2)`.  The budget flags
 obey the ranges above, and `verify --trials` must be at least 1.  Exit
 codes: 0 success, 1 verification failure, 2 parse error (a budget out
-of range included), 3 inconclusive, 4 purity or dimension error, 5
+of range included), 3 inconclusive (standard error names the budget
+and the flag that raises it), 4 purity or dimension error, 5
 internal error (a fault of the program, not of the input).
 """
 
@@ -778,6 +779,13 @@ def _build_parser():
     return parser
 
 
+# the flag that raises each budget an InconclusiveError can name; the
+# work budget is 64 * max_terms, and a stream's certificate is fixed by
+# its spec
+_BUDGET_FLAGS = {"max_steps": "--max-steps", "max_terms": "--max-terms",
+                 "work": "--max-terms", "lex_ceiling": "--lex-ceiling"}
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -793,8 +801,14 @@ def main(argv=None):
         return 2
     except InconclusiveError as exc:
         print("inconclusive: %s" % exc, file=sys.stderr)
-        prefix = (exc.detail or {}).get("prefix") \
-            if isinstance(exc.detail, dict) else None
+        detail = exc.detail if isinstance(exc.detail, dict) else {}
+        budget = detail.get("budget")
+        if budget is not None:
+            flag = _BUDGET_FLAGS.get(budget)
+            print("budget %s: %s" % (budget, "raise it with " + flag
+                                     if flag else "no flag reaches it"),
+                  file=sys.stderr)
+        prefix = detail.get("prefix")
         if prefix:
             print("pseudo-convergent prefix:", file=sys.stderr)
             for v in prefix:

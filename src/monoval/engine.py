@@ -40,7 +40,9 @@ from .hahn import (
 )
 from .lexgroup import (
     INFINITY,
+    DimensionError,
     NotInSubgroup,
+    degree_L,
     echelon_reduce,
     is_lex_positive,
     lex_cmp,
@@ -580,80 +582,124 @@ def _image_leads(zetas, budget):
     return leads
 
 
-class _MonomialTable(dict):
-    """X^a -> (value under final_L, leading exponent, leading
-    coefficient) of the product of the final images raised to a >= 0.
-
-    A missing entry is built from the entry of X^(a - e_i), for the
-    first i with a_i > 0, by two vector adds and one coefficient
-    product.  This is exact: the exponents are lex-ordered
-    and the coefficients form a field, so the leading term of a
-    product is the product of the leading terms.  The walk down to a
-    known entry is a loop, so the degree is not bounded by recursion."""
-
-    def __init__(self, final_L, leads, one):
-        super().__init__()
-        self._steps = tuple((L, e, c) for L, (e, c) in zip(final_L, leads))
-        self[(0,) * len(final_L)] = ((0,) * len(final_L[0]),
-                                     (0,) * len(leads[0][0]), one)
-
-    def __missing__(self, exps):
-        chain = []
-        entry = None
-        while entry is None:
-            i = next(i for i, a in enumerate(exps) if a)
-            chain.append((exps, i))
-            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            entry = self.get(exps)
-        for exps, i in reversed(chain):
-            value, exp, co = entry
-            L, e, c = self._steps[i]
-            entry = self[exps] = (vadd(value, L), vadd(exp, e), co * c)
-        return entry
+def _pack(vec, width):
+    """vec as the integer sum of vec[j] * width^(m-1-j).  Packing is
+    linear, and for components below width / 2 in absolute value the
+    integers' order and equality are the vectors' lex order and
+    equality: the difference of two such vectors has digits below
+    width, so its first nonzero digit outweighs all later ones."""
+    packed = 0
+    for x in vec:
+        packed = packed * width + x
+    return packed
 
 
-def _poly_value(poly, table, ceiling=None):
-    """(expected, lead) for the polynomial {exps: c} at the final
-    images: the least value of its monomials under final_L, and nu_t
-    read off the monomials' leading terms in `table`, which is their
-    least leading exponent, unless the coefficients that reach it sum
-    to zero (the initial form vanishes) or it lies above the lex
-    ceiling; then lead is None, and only the sum stream can tell."""
-    expect = low = None
-    for exps, c in poly.items():
-        value, exp, lc = table[exps]
-        if expect is None or value < expect:
-            expect = value
-        if low is None or exp < low:
-            low, at_low = exp, [(lc, c)]
-        elif exp == low:
-            at_low.append((lc, c))
-    # a lone term at the least exponent is a product of nonzero field
-    # elements, so only a tie can cancel
-    if len(at_low) > 1:
-        total = sum((lc * c for lc, c in at_low[1:]),
-                    at_low[0][0] * at_low[0][1])
-        if total.is_zero:
-            return expect, None
-    if ceiling is not None and lex_cmp(low, ceiling) > 0:
-        low = None
-    return expect, low
+def _packing(final_L, lead_exps, degree, ceiling):
+    """(columns, width, base) for sampling monomials of degree at most
+    `degree`: columns[i] = (base^i, final_L[i] and lead_exps[i] packed
+    at `width`), so the sums of a monomial's columns are its exponent
+    key, its value and its lead; width also covers the ceiling, which
+    leads are compared with."""
+    summed = list(final_L) + list(lead_exps)
+    fixed = [] if ceiling is None else [ceiling]
+    m = len(final_L[0])
+    for vec in summed + fixed:
+        if len(vec) != m:
+            raise DimensionError("rank mismatch: %d vs %d" % (len(vec), m))
+    bound = max([degree * abs(x) for vec in summed for x in vec]
+                + [abs(x) for vec in fixed for x in vec])
+    width = 2 * bound + 1
+    base = degree + 1
+    columns = [(base ** i, _pack(L, width), _pack(e, width))
+               for i, (L, e) in enumerate(zip(final_L, lead_exps))]
+    return columns, width, base
 
 
-def _drawer(rng):
-    """draw(k) == rng.randint(0, k - 1), draw for draw and with the
-    same final state: random.Random draws k.bit_length() bits and
-    rejects values >= k (its _randbelow_with_getrandbits)."""
+def _exponents(key, base, n):
+    """The exponent tuple (a_0, ..., a_{n-1}) of key = sum a_i * base^i."""
+    exps = []
+    for _ in range(n):
+        key, a = divmod(key, base)
+        exps.append(a)
+    return tuple(exps)
+
+
+def _sample_polys(rng, trials, n, degree, consts, columns):
+    """Yield the `trials` polynomials that drawing with rng.randint
+    samples, draw for draw, leaving rng in the same state: randint(0,
+    k - 1) draws k.bit_length() bits and rejects values >= k (CPython's
+    _randbelow_with_getrandbits).  A polynomial is {key: (coefficient,
+    value, lead)}; key, value and lead are the sums of the columns of
+    the monomial's variables, drawn with repetition.  consts[i] is the
+    constant that randint(-5, 5) == i - 5 gives, None for zero."""
     getrandbits = rng.getrandbits
+    bits_n = n.bit_length()
+    bits_d = degree.bit_length()
+    for _ in range(trials):
+        poly = {}
+        nmono = getrandbits(3)
+        while nmono >= 4:
+            nmono = getrandbits(3)
+        for _ in range(nmono + 1):
+            total = getrandbits(bits_d)
+            while total >= degree:
+                total = getrandbits(bits_d)
+            key = value = lead = 0
+            for _ in range(total + 1):
+                i = getrandbits(bits_n)
+                while i >= n:
+                    i = getrandbits(bits_n)
+                k, v, e = columns[i]
+                key += k
+                value += v
+                lead += e
+            c = getrandbits(4)
+            while c >= 11:
+                c = getrandbits(4)
+            c = consts[c]
+            if c is None:
+                continue
+            if key in poly:
+                c = poly[key][0] + c
+                if c.is_zero:
+                    del poly[key]
+                    continue
+            poly[key] = (c, value, lead)
+        yield poly
 
-    def draw(k):
-        bits = k.bit_length()
-        r = getrandbits(bits)
-        while r >= k:
-            r = getrandbits(bits)
-        return r
 
-    return draw
+def _lead_coefficient(c, exps, leads):
+    """The leading coefficient of c times the product of the images
+    raised to exps, from their leading terms `leads`: exponents are
+    lex-ordered and coefficients form a field, so it is c times the
+    product of theirs."""
+    for a, (_, lc) in zip(exps, leads):
+        if a:
+            c = c * (lc if a == 1 else lc ** a)
+    return c
+
+
+def _least(poly, expand, leads):
+    """(least value, least lead) of a sampled polynomial, packed.  The
+    least lead is nu_t of the polynomial at the images whose leading
+    terms are `leads`, unless the coefficients that reach it sum to
+    zero (the initial form vanishes); then it is None.  A lone term at
+    the least lead is a product of nonzero field elements, so
+    coefficients are multiplied only on a tie."""
+    value = low = None
+    for key, (_, v, lead) in poly.items():
+        if value is None or v < value:
+            value = v
+        if low is None or lead < low:
+            low, tie = lead, [key]
+        elif lead == low:
+            tie.append(key)
+    if len(tie) > 1:
+        terms = [_lead_coefficient(poly[key][0], expand(key), leads)
+                 for key in tie]
+        if sum(terms[1:], terms[0]).is_zero:
+            return value, None
+    return value, low
 
 
 def verify_monomial(result, degree=4, trials=200, rng=None,
@@ -666,26 +712,31 @@ def verify_monomial(result, degree=4, trials=200, rng=None,
     form of f does not vanish at their leading coefficients; only
     when it does (or a leading term is inconclusive) is f evaluated
     as a stream.  The polynomials are those that drawing with
-    rng.randint would sample, and rng ends in the same state."""
+    rng.randint would sample, and rng ends in the same state.  Each
+    monomial's exponents, value and leading exponent are kept as
+    packed integers while it is drawn, so a vector add is an integer
+    add and a lex comparison an integer comparison."""
     if trials < 1:
         raise ValueError("trials must be at least 1, got %r" % (trials,))
     if degree < 1:
         raise ValueError("degree must be at least 1, got %r" % (degree,))
     budget = budget or result.spec.budget
-    n = result.spec.n
+    n, m = result.spec.n, result.spec.m
     tower = result.spec.tower
     rng = rng or random.Random(97)
-    draw = _drawer(rng)
-    # rng.randint(-5, 5) is consts[draw(11)]; None marks a zero
+    final_L = result.final_L
+    leads = _image_leads(result.zetas, budget)
+    # without leading terms every polynomial takes the stream path
+    lead_exps = [e for e, _ in leads] if leads else [(0,) * m] * n
+    ceiling = budget.lex_ceiling
+    columns, width, base = _packing(final_L, lead_exps, degree, ceiling)
+    top = None if ceiling is None else _pack(ceiling, width)
+
+    def expand(key):
+        return _exponents(key, base, n)
+
     consts = [None if c.is_zero else c
               for c in map(tower.from_int, range(-5, 6))]
-    leads = _image_leads(result.zetas, budget)
-    # without leading terms the table still gives values; its
-    # leading-term readings are then never used
-    table = _MonomialTable(
-        result.final_L,
-        leads or [((0,) * len(result.final_L[0]), tower.one)] * n,
-        tower.one)
 
     mono_cache = {}
 
@@ -704,34 +755,31 @@ def verify_monomial(result, degree=4, trials=200, rng=None,
     mismatches = []
     inconclusive = 0
     checked = 0
-    for _ in range(trials):
-        poly = {}
-        for _ in range(1 + draw(4)):
-            exps = [0] * n
-            for _ in range(1 + draw(degree)):
-                exps[draw(n)] += 1
-            c = consts[draw(11)]
-            if c is None:
-                continue
-            key = tuple(exps)
-            prev = poly.get(key)
-            s = c if prev is None else prev + c
-            if s.is_zero:
-                poly.pop(key, None)
-            else:
-                poly[key] = s
+    for poly in _sample_polys(rng, trials, n, degree, consts, columns):
         if not poly:
             continue
-        expect, got = _poly_value(poly, table, budget.lex_ceiling)
-        if got is None or leads is None:
+        got = None
+        if leads is not None:
+            expect, got = _least(poly, expand, leads)
+            if got is not None and top is not None and got > top:
+                got = None
+        if got is not None:
+            checked += 1
+            if got == expect:
+                continue
+        plain = {expand(key): c for key, (c, _, _) in poly.items()}
+        if got is not None:
+            got = min(degree_L(a, lead_exps) for a in plain)
+        else:
             try:
-                got = hahn.nu_t(hahn.eval_poly(poly, mono_image), budget)
+                got = hahn.nu_t(hahn.eval_poly(plain, mono_image), budget)
             except InconclusiveError:
                 inconclusive += 1
                 continue
-        checked += 1
+            checked += 1
+        expect = min(degree_L(a, final_L) for a in plain)
         if got != expect:
-            mismatches.append({"poly": poly, "expected": expect,
+            mismatches.append({"poly": plain, "expected": expect,
                                "got": got})
     return VerifyReport(checked=checked, mismatches=tuple(mismatches),
                         inconclusive=inconclusive)

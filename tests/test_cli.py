@@ -11,7 +11,8 @@ import pytest
 
 from monoval import cli
 from monoval.coeff import GroundField, ParseError, Tower
-from monoval.errors import InternalError, StructureError
+from monoval.errors import (InconclusiveError, InternalError,
+                             StructureError)
 from monoval.hahn import APFamily, FiniteTerms, HahnStream
 
 SPECS = Path(cli.__file__).parent / "specs"
@@ -326,7 +327,38 @@ def test_budget_stop_names_the_budget_and_prints_no_prefix(capsys):
                      "(0,0,0)"]) == 3
     assert capsys.readouterr().err == (
         "inconclusive: lex ceiling exceeded: term (0, 0, 1) > "
-        "lex_ceiling (0, 0, 0)\n")
+        "lex_ceiling (0, 0, 0)\n"
+        "budget lex_ceiling: raise it with --lex-ceiling\n")
+
+
+def test_starved_stop_names_the_flag_that_raises_its_budget(capsys):
+    assert cli.main(["monomialize", STARVED]) == 3
+    assert capsys.readouterr().err == (
+        "inconclusive: X2: no family matched after 2 subtractions "
+        "(max_steps 2)\n"
+        "budget max_steps: raise it with --max-steps\n"
+        "pseudo-convergent prefix:\n"
+        "  (0,0,1)\n"
+        "  (0,0,2)\n")
+
+
+@pytest.mark.parametrize("budget,advice", [
+    ("max_steps", "raise it with --max-steps"),
+    ("max_terms", "raise it with --max-terms"),
+    ("work", "raise it with --max-terms"),
+    ("lex_ceiling", "raise it with --lex-ceiling"),
+    ("certificate", "no flag reaches it"),
+])
+def test_every_budget_stop_names_its_flag(budget, advice, monkeypatch,
+                                          capsys):
+    def stop(args):
+        raise InconclusiveError("stopped", detail={"budget": budget,
+                                                   "used": 1, "limit": 0})
+
+    monkeypatch.setattr(cli, "cmd_monomialize", stop)
+    assert cli.main(["monomialize", EXAMPLE]) == 3
+    assert capsys.readouterr().err == (
+        "inconclusive: stopped\nbudget %s: %s\n" % (budget, advice))
 
 
 _CHAIN = ("field rationals\nrank 2\nvars X1 X2 X3\nsymbols u\n"

@@ -25,7 +25,7 @@ from monoval.engine import (
 from monoval.errors import InconclusiveError, PurityError, StructureError
 from monoval.hahn import (APFamily, Budget, FiniteTerms, HahnStream,
                           first_terms, nu_t)
-from monoval.lexgroup import INFINITY, degree_L, lex_cmp
+from monoval.lexgroup import INFINITY, DimensionError, degree_L, lex_cmp
 
 F5U = Tower(GroundField.prime(5), ("u3",))
 Q = Tower(GroundField.rationals())
@@ -353,6 +353,22 @@ def _x1_for_x3(poly):
     return {e: c for e, c in out.items() if not c.is_zero}
 
 
+def _packed(poly, columns):
+    """poly {exps: c} in the sampler's form: each monomial's key, value
+    and lead are the sums of its variables' columns, one add per
+    occurrence of a variable, as the sampler adds them."""
+    out = {}
+    for exps, c in poly.items():
+        key = value = lead = 0
+        for a, (k, v, e) in zip(exps, columns):
+            for _ in range(a):
+                key += k
+                value += v
+                lead += e
+        out[key] = (c, value, lead)
+    return out
+
+
 def test_leading_term_value_matches_the_sum_stream():
     # each result twice: as monomialized, and with Z3's image replaced
     # by Z1's (they share the value (0,0,1)), checked on f - f(X3 := X1),
@@ -365,16 +381,24 @@ def test_leading_term_value_matches_the_sum_stream():
     for res in results:
         budget = res.spec.budget
         tower = res.spec.tower
+        n = res.spec.n
         zetas = list(res.zetas)
         zetas[2] = zetas[0]
         for images, cancel in ((res.zetas, False), (tuple(zetas), True)):
             leads = engine._image_leads(images, budget)
             assert leads is not None
-            table = engine._MonomialTable(res.final_L, leads, tower.one)
+            lead_exps = [e for e, _ in leads]
+            # exponents 0..2 per variable: total degree at most 2n
+            columns, width, base = engine._packing(res.final_L, lead_exps,
+                                                   2 * n, None)
+
+            def expand(key):
+                return engine._exponents(key, base, n)
+
             for _ in range(60):
                 poly = {}
                 for _ in range(rng.randint(1, 4)):
-                    exps = tuple(rng.randint(0, 2) for _ in range(res.spec.n))
+                    exps = tuple(rng.randint(0, 2) for _ in range(n))
                     c = tower.from_int(rng.randint(1, 6))
                     poly[exps] = poly.get(exps, tower.zero) + c
                 poly = {e: c for e, c in poly.items() if not c.is_zero}
@@ -385,19 +409,29 @@ def test_leading_term_value_matches_the_sum_stream():
                     poly = {e: c for e, c in poly.items() if not c.is_zero}
                 if not poly:
                     continue
-                for exps in poly:
-                    value, exp, lc = table[exps]
-                    assert value == degree_L(exps, res.final_L)
-                    assert (exp, lc) == hahn.leading_term(
+                packed = _packed(poly, columns)
+                assert [expand(key) for key in packed] == list(poly)
+                for key, (_, value, lead) in packed.items():
+                    exps = expand(key)
+                    assert value == engine._pack(
+                        degree_L(exps, res.final_L), width)
+                    exp, lc = hahn.leading_term(
                         hahn.monomial_image(exps, images, budget), budget)
-                lead = engine._poly_value(poly, table)[1]
+                    assert lead == engine._pack(exp, width)
+                    assert lc == engine._lead_coefficient(tower.one, exps,
+                                                          leads)
+                value, lead = engine._least(packed, expand, leads)
+                assert value == engine._pack(
+                    min(degree_L(e, res.final_L) for e in poly), width)
                 stream = hahn.eval_poly(
                     poly, lambda e: hahn.monomial_image(e, images, budget))
                 if cancel:
                     assert lead is None and nu_t(stream, budget) is INFINITY
                 elif lead is not None:
                     decided += 1
-                    assert lead == nu_t(stream, budget)
+                    got = nu_t(stream, budget)
+                    assert got == min(degree_L(e, lead_exps) for e in poly)
+                    assert lead == engine._pack(got, width)
     assert decided >= 200
 
 
@@ -465,6 +499,22 @@ def _reference_verify(result, degree, trials, rng):
                         inconclusive=inconclusive)
 
 
+def _assert_same_report(result, degree, trials, seed):
+    """verify_monomial and the reference loop give equal reports, with
+    the mismatches' polynomials in the same key order, and leave their
+    rngs in the same state; returns the report."""
+    fast_rng = random.Random(seed)
+    ref_rng = random.Random(seed)
+    report = verify_monomial(result, degree=degree, trials=trials,
+                             rng=fast_rng)
+    ref = _reference_verify(result, degree, trials, ref_rng)
+    assert report == ref
+    assert ([list(bad["poly"]) for bad in report.mismatches]
+            == [list(bad["poly"]) for bad in ref.mismatches])
+    assert fast_rng.getstate() == ref_rng.getstate()
+    return report
+
+
 def test_verify_matches_the_reference_loop():
     results = [monomialize(example_spec())]
     for text in _FAMILY_SPECS:
@@ -472,25 +522,95 @@ def test_verify_matches_the_reference_loop():
     for res in results:
         for seed in range(1, 6):
             for degree in range(1, 6):
-                fast_rng = random.Random(seed)
-                ref_rng = random.Random(seed)
-                report = verify_monomial(res, degree=degree, trials=40,
-                                         rng=fast_rng)
-                assert report == _reference_verify(res, degree, 40, ref_rng)
+                report = _assert_same_report(res, degree, 40, seed)
                 assert report.checked and report.ok
-                assert fast_rng.getstate() == ref_rng.getstate()
+    # failing results: a wrong final value, and Z3's image replaced by
+    # Z1's, where the initial forms of f - f(X3 := X1) cancel
+    res = results[0]
+    final_L = list(res.final_L)
+    final_L[1] = (0, 1, 1)
+    zetas = list(res.zetas)
+    zetas[2] = zetas[0]
+    for bad_res in (res.replace(final_L=tuple(final_L)),
+                    res.replace(zetas=tuple(zetas))):
+        # the defaults and seed of the tests that report these results
+        report = _assert_same_report(bad_res, 4, 200, 1)
+        failed = len(report.mismatches)
+        for seed in range(1, 4):
+            for degree in (1, 2, 4):
+                report = _assert_same_report(bad_res, degree, 40, seed)
+                failed += len(report.mismatches)
+        assert failed
 
 
 def test_draw_replays_randint():
+    # every k = 1..13 is drawn as the number of variables and as the
+    # degree; the polynomials, their packed values and leads, and the
+    # final rng state are those of drawing with randint
+    tower = F5U
+    consts = [None if c.is_zero else c
+              for c in map(tower.from_int, range(-5, 6))]
     for seed in range(4):
-        ours = random.Random(seed)
-        theirs = random.Random(seed)
-        draw = engine._drawer(ours)
-        for k in [1] * 20 + list(range(1, 14)) * 20:
-            assert draw(k) == theirs.randint(0, k - 1)
-        for _ in range(200):
-            assert draw(11) - 5 == theirs.randint(-5, 5)
-        assert ours.getstate() == theirs.getstate()
+        for n in range(1, 14):
+            degree = 14 - n
+            final_L = [(i, -i) for i in range(n)]
+            lead_exps = [(-i, 2 * i) for i in range(n)]
+            columns, width, base = engine._packing(final_L, lead_exps,
+                                                   degree, None)
+            ours = random.Random(seed)
+            theirs = random.Random(seed)
+            for poly in engine._sample_polys(ours, 30, n, degree, consts,
+                                             columns):
+                want = {}
+                for _ in range(theirs.randint(1, 4)):
+                    exps = [0] * n
+                    for _ in range(theirs.randint(1, degree)):
+                        exps[theirs.randint(0, n - 1)] += 1
+                    c = tower.from_int(theirs.randint(-5, 5))
+                    if c.is_zero:
+                        continue
+                    key = tuple(exps)
+                    s = c if key not in want else want[key] + c
+                    if s.is_zero:
+                        want.pop(key, None)
+                    else:
+                        want[key] = s
+                got = [(engine._exponents(key, base, n), c)
+                       for key, (c, _, _) in poly.items()]
+                assert got == list(want.items())
+                for (exps, _), (_, value, lead) in zip(got, poly.values()):
+                    assert value == engine._pack(degree_L(exps, final_L),
+                                                 width)
+                    assert lead == engine._pack(degree_L(exps, lead_exps),
+                                                width)
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_verify_packs_entries_beyond_the_degree():
+    # final values and leading exponents with negative entries larger
+    # than the degree, a ceiling that polynomials of degree 1500
+    # exceed, and a wrong final value: every report equals the
+    # reference loop's
+    x1 = HahnStream.single((1, -9), Q.from_int(2))
+    x2 = HahnStream.single((0, 7), Q.from_int(-3))
+    res = monomialize(ValuationSpec(tower=Q, m=2, names=("X1", "X2"),
+                                    images=(x1, x2)))
+    assert res.final_L == ((1, -9), (0, 7))
+    capped = res.replace(spec=res.spec.replace(
+        budget=Budget(lex_ceiling=(300, 0))))
+    wrong = ((1, -9), (0, 8))
+    for r in (res, capped, res.replace(final_L=wrong),
+              capped.replace(final_L=wrong)):
+        for degree in (1, 1500):
+            report = _assert_same_report(r, degree, 20, degree)
+            assert report.ok == (r.final_L != wrong)
+            if r.spec is capped.spec and degree == 1500:
+                assert report.checked and report.inconclusive
+            else:
+                assert report.inconclusive == 0
+    with pytest.raises(DimensionError):
+        verify_monomial(res.replace(spec=res.spec.replace(
+            budget=Budget(lex_ceiling=(1,)))))
 
 
 def test_verify_at_a_large_degree():
