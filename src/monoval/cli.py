@@ -528,12 +528,6 @@ def _log_entry_text(names, entry):
     return "coordinate change %s = Z + %s" % (names[entry.j], correction)
 
 
-def _stream_json(stream):
-    out = {"stream": format_stream(stream)}
-    out["cert"] = None if stream.cert is INFINITY else list(stream.cert)
-    return out
-
-
 def _result_json(doc, result):
     spec = doc.spec
     names = spec.names
@@ -557,7 +551,9 @@ def _result_json(doc, result):
                       "alpha": None if r.alpha is None else str(r.alpha)}
                      for r in result.residues],
         "final_L": [list(v) for v in result.final_L],
-        "psi": [_stream_json(s) for s in result.psi],
+        # psi is the parsed input images, which carry no certificate
+        "psi": [{"stream": format_stream(s), "cert": None}
+                for s in result.psi],
     }
 
 
@@ -579,9 +575,7 @@ def _print_result_text(doc, result, out):
                                              names[carrier]))
     out.write("psi:\n")
     for name, stream in zip(names, result.psi):
-        cert = ("" if stream.cert is INFINITY
-                else "  [certified below %s]" % _vec_text(stream.cert))
-        out.write("  %s -> %s%s\n" % (name, format_stream(stream), cert))
+        out.write("  %s -> %s\n" % (name, format_stream(stream)))
     out.write("residues (%d):\n" % len(result.residues))
     for rec in result.residues:
         out.write("  %s -> %s\n"

@@ -27,6 +27,7 @@ InconclusiveError rather than guessing.
 """
 
 import heapq
+from itertools import islice
 from math import comb
 
 from .errors import InconclusiveError
@@ -49,13 +50,13 @@ class NoLimitError(ValueError):
 
 class Budget(Record):
     """Enumeration limits: max_terms per stream, a total work bound
-    (raw candidate terms processed), an optional global lex ceiling,
-    and the depth of geometric inverse expansions."""
+    (raw candidate terms processed) and an optional global lex
+    ceiling."""
 
-    __slots__ = ("max_terms", "lex_ceiling", "inv_depth")
+    __slots__ = ("max_terms", "lex_ceiling")
 
-    def __init__(self, max_terms=256, lex_ceiling=None, inv_depth=16):
-        self._init(max_terms, lex_ceiling, inv_depth)
+    def __init__(self, max_terms=256, lex_ceiling=None):
+        self._init(max_terms, lex_ceiling)
 
     @property
     def work(self):
@@ -317,9 +318,10 @@ class HahnStream:
 
     def structural_min(self):
         """Smallest exponent any segment could emit (a lower bound for
-        nu_t); None for a structurally empty stream."""
+        nu_t); for a stream with no segments, its certificate, where
+        its hidden terms would start (INFINITY for an exact zero)."""
         if not self.segments:
-            return None
+            return self.cert
         return min(seg.first_exponent() for seg in self.segments)
 
     def as_single_term(self):
@@ -518,86 +520,47 @@ def eval_poly(poly, image):
     return HahnStream(tuple(segs), cert)
 
 
-def term_mul(a, coeff, exp):
-    """Multiply by the single term coeff * t^exp."""
-    if coeff.is_zero:
-        return HahnStream(())
+def _shifted_cert(cert, exp):
+    return cert if cert is INFINITY else vadd(cert, exp)
+
+
+def _term_segments(segments, coeff, exp):
+    """The segments times the nonzero single term coeff * t^exp."""
     segs = []
-    for seg in a.segments:
+    for seg in segments:
         if isinstance(seg, FiniteTerms):
             segs.append(FiniteTerms(tuple((vadd(e, exp), c * coeff)
                                           for e, c in seg.terms)))
         else:
             segs.append(seg.scaled(coeff).shifted(exp))
-    cert = a.cert if a.cert is INFINITY else vadd(a.cert, exp)
-    return HahnStream(tuple(segs), cert)
+    return segs
 
 
-def _family_prefix(fam, k):
-    """First k nonzero terms of a family plus the exponent of the
-    first unexamined index (INFINITY when the family is exhausted)."""
-    terms = []
-    i = 1
-    rpow = fam.r
-    nxt = INFINITY
-    while fam.count is None or i <= fam.count:
-        if len(terms) >= k:
-            nxt = fam.exponent(i)
-            break
-        co = fam.c * rpow
-        if fam.e:
-            co = co * (fam.c.tower.from_int(i) ** fam.e)
-        if not co.is_zero:
-            terms.append((fam.exponent(i), co))
-        i += 1
-        rpow = rpow * fam.r
-    return tuple(terms), nxt
+def term_mul(a, coeff, exp):
+    """Multiply by the single term coeff * t^exp."""
+    if coeff.is_zero:
+        return HahnStream(())
+    return HahnStream(tuple(_term_segments(a.segments, coeff, exp)),
+                      _shifted_cert(a.cert, exp))
+
+
+_BOX = 12
+_HOSTILE_WEIGHT = 16
+_HOSTILE_KEEP = 8
+_INV_DEPTH = 16
 
 
 def _family_box(fa, fb, budget):
-    """Product of two infinite families over a bounded index box,
-    certified up to the smallest exponent possibly omitted."""
-    k = min(budget.max_terms, 12)
-    ta, na = _family_prefix(fa, k)
-    tb, nb = _family_prefix(fb, k)
-    prods = {}
-    for ea, ca in ta:
-        for eb, cb in tb:
-            e = vadd(ea, eb)
-            co = ca * cb
-            if e in prods:
-                s = prods[e] + co
-                if s.is_zero:
-                    del prods[e]
-                else:
-                    prods[e] = s
-            elif not co.is_zero:
-                prods[e] = co
-    cert = INFINITY
-    if na is not INFINITY:
-        cert = lex_min(cert, vadd(na, fb.start))
-    if nb is not INFINITY:
-        cert = lex_min(cert, vadd(nb, fa.start))
-    kept = sorted((e, c) for e, c in prods.items()
-                  if cert is INFINITY or lex_cmp(e, cert) < 0)
-    if len(kept) > budget.max_terms:
-        # keep the stream small; everything past the cut is still
-        # accounted for by the (now earlier) certificate
-        cert = kept[budget.max_terms][0]
-        kept = kept[:budget.max_terms]
-    segs = (FiniteTerms(tuple(kept)),) if kept else ()
-    return HahnStream(segs, cert)
-
-
-def _cap_cert(stream, cap):
-    if cap is INFINITY:
-        return stream
-    return HahnStream(stream.segments, lex_min(stream.cert, cap))
-
-
-_SEGMENT_CAP = 24
-_HOSTILE_WEIGHT = 16
-_HOSTILE_KEEP = 8
+    """Products of the first k nonzero terms of two infinite families,
+    unsummed, and their certificate: the least exponent that a later
+    term of either family can reach in the product."""
+    k = min(budget.max_terms, _BOX)
+    ta = list(islice(_family_iter(fa), k))
+    tb = list(islice(_family_iter(fb), k))
+    prods = tuple((vadd(ea, eb), ca * cb) for ea, ca in ta for eb, cb in tb)
+    cert = lex_min(vadd(vadd(ta[-1][0], fa.step), fb.start),
+                   vadd(vadd(tb[-1][0], fb.step), fa.start))
+    return prods, cert
 
 
 def _hostile(seg):
@@ -635,113 +598,82 @@ def _expand_hostile(stream, budget):
     return HahnStream(tuple(segs), cert)
 
 
-def _compact(stream, budget):
-    """Bound the retained representation by the term budget; dropped
-    terms are covered by lowering the certificate to the first
-    exponent cut off.  Also sheds structure at or past the
-    certificate, which is untrusted anyway, and flattens streams
-    whose segment count would make further arithmetic quadratic."""
-    stream = _expand_hostile(stream, budget)
-    if stream.cert is not INFINITY:
-        segs = []
-        changed = False
-        for seg in stream.segments:
-            if lex_cmp(seg.first_exponent(), stream.cert) >= 0:
+def _compact(segments, cert, budget):
+    """The stream of the segments, certified below cert, cut to a
+    bounded representation; the only place a product or an inverse is
+    cut.  Hostile families become short prefixes, the structure at or
+    past the certificate is shed (it is untrusted anyway), and the
+    finite part keeps max_terms terms, the certificate dropping to the
+    first term cut off."""
+    stream = _expand_hostile(HahnStream(segments, cert), budget)
+    cert = stream.cert
+    segs = []
+    changed = False
+    for seg in stream.segments:
+        if isinstance(seg, FiniteTerms):
+            terms = seg.terms if stream.cert is INFINITY else tuple(
+                t for t in seg.terms if lex_cmp(t[0], stream.cert) < 0)
+            if len(terms) > budget.max_terms:
+                cert = terms[budget.max_terms][0]
+                terms = terms[:budget.max_terms]
+            if len(terms) < len(seg.terms):
                 changed = True
-                continue
-            if isinstance(seg, FiniteTerms):
-                kept = tuple(t for t in seg.terms
-                             if lex_cmp(t[0], stream.cert) < 0)
-                if len(kept) != len(seg.terms):
-                    changed = True
-                    if kept:
-                        segs.append(FiniteTerms(kept))
-                    continue
+                seg = FiniteTerms(terms) if terms else None
+        elif stream.cert is not INFINITY and \
+                lex_cmp(seg.start, stream.cert) >= 0:
+            changed = True
+            seg = None
+        if seg is not None:
             segs.append(seg)
-        if changed:
-            stream = HahnStream(tuple(segs), stream.cert)
-    for k, seg in enumerate(stream.segments):
-        if isinstance(seg, FiniteTerms) and \
-                len(seg.terms) > budget.max_terms:
-            cut = seg.terms[budget.max_terms][0]
-            kept = FiniteTerms(seg.terms[:budget.max_terms])
-            segs = (stream.segments[:k] + (kept,)
-                    + stream.segments[k + 1:])
-            stream = HahnStream(segs, lex_min(stream.cert, cut))
-            break
-    if len(stream.segments) > _SEGMENT_CAP:
-        try:
-            stream = _flatten(stream, budget)
-        except InconclusiveError:
-            pass
-    return stream
+    return HahnStream(tuple(segs), cert) if changed else stream
 
 
 def mul(a, b, budget=DEFAULT_BUDGET):
     """Product stream.  Exact whenever at most one factor carries
     infinite families; family-by-family parts are certified up to
-    their index-box bound."""
-    if a.is_structurally_zero or b.is_structurally_zero:
-        # a factor that is exactly zero (infinite cert) kills the
-        # product outright; one that is merely zero-so-far caps the
-        # certification at where its hidden terms could first land
-        if a.is_structurally_zero and a.cert is INFINITY:
-            return HahnStream(())
-        if b.is_structurally_zero and b.cert is INFINITY:
-            return HahnStream(())
-        if a.is_structurally_zero and b.is_structurally_zero:
-            return HahnStream((), vadd(a.cert, b.cert))
-        if a.is_structurally_zero:
-            return HahnStream((), vadd(a.cert, b.structural_min()))
-        return HahnStream((), vadd(b.cert, a.structural_min()))
-
+    their index-box bound, and the hidden terms of a factor beyond its
+    certificate cap the product's certificate."""
     sa = a.as_single_term()
     if sa is not None:
         return term_mul(b, sa[1], sa[0])
     sb = b.as_single_term()
     if sb is not None:
         return term_mul(a, sb[1], sb[0])
+    low_a, low_b = a.structural_min(), b.structural_min()
+    if a.is_structurally_zero or b.is_structurally_zero:
+        # zero below its certificate: the product is zero below the sum
+        # of where each side can start; an exact zero kills it outright
+        if low_a is INFINITY or low_b is INFINITY:
+            return HahnStream(())
+        return HahnStream((), vadd(low_a, low_b))
 
-    fin_a = [seg for seg in a.segments if isinstance(seg, FiniteTerms)]
-    fam_a = [seg for seg in a.segments if isinstance(seg, APFamily)]
-    fin_b = [seg for seg in b.segments if isinstance(seg, FiniteTerms)]
-    fam_b = [seg for seg in b.segments if isinstance(seg, APFamily)]
-
-    parts = []
-    for seg in fin_a:
-        for exp, co in seg.terms:
-            parts.append(term_mul(b, co, exp))
-    if fam_a:
-        # the family segments are exact closed forms; hidden mass of a
-        # beyond a.cert is accounted for by the final cap below
-        fam_a_stream = HahnStream(tuple(fam_a))
-        for seg in fin_b:
-            for exp, co in seg.terms:
-                parts.append(term_mul(fam_a_stream, co, exp))
-        for fa in fam_a:
-            for fb in fam_b:
-                parts.append(_family_box(fa, fb, budget))
-
+    cert = lex_min(_shifted_cert(a.cert, low_b), _shifted_cert(b.cert, low_a))
     segs = []
-    cert = INFINITY
-    for p in parts:
-        segs.extend(p.segments)
-        cert = lex_min(cert, p.cert)
-    total = HahnStream(tuple(segs), cert)
-    cap = INFINITY
-    if a.cert is not INFINITY:
-        cap = lex_min(cap, vadd(a.cert, b.structural_min()))
-    if b.cert is not INFINITY:
-        cap = lex_min(cap, vadd(b.cert, a.structural_min()))
-    return _compact(_cap_cert(total, cap), budget)
+    fam_a = []
+    for seg in a.segments:
+        if isinstance(seg, FiniteTerms):
+            for exp, co in seg.terms:
+                segs.extend(_term_segments(b.segments, co, exp))
+        else:
+            fam_a.append(seg)
+    for seg in b.segments if fam_a else ():
+        if isinstance(seg, FiniteTerms):
+            for exp, co in seg.terms:
+                segs.extend(_term_segments(fam_a, co, exp))
+        else:
+            for fa in fam_a:
+                prods, box_cert = _family_box(fa, seg, budget)
+                segs.append(FiniteTerms(prods))
+                cert = lex_min(cert, box_cert)
+    return _compact(segs, cert, budget)
 
 
 def inverse(s, budget=DEFAULT_BUDGET):
     """Multiplicative inverse via the certified leading term.
 
     Exact closed forms for a single term (monomial shift) and a
-    binomial (geometric family); otherwise a truncated geometric
-    expansion certified up to (depth+1) * nu(tail/lead).
+    binomial (geometric family); otherwise a geometric expansion of
+    depth _INV_DEPTH, certified up to (depth+1) * nu(tail/lead).
     """
     lead = leading_term(s, budget)
     if lead is None:
@@ -773,28 +705,27 @@ def inverse(s, budget=DEFAULT_BUDGET):
         # working from a certified finite prefix keeps every power in
         # the expansion finite, so no family boxes pile up below
         s = _flatten(s, tight)
-    rho = _compact(term_mul(sub(s, HahnStream.single(A, c)), cinv, negA),
-                   tight)
+    rho = _compact(_term_segments(s.segments + (FiniteTerms(((A, -c),)),),
+                                  cinv, negA),
+                   _shifted_cert(s.cert, negA), tight)
     v_rho = nu_t(rho, budget)
     if v_rho is INFINITY:
         return HahnStream.single(negA, cinv)
     if not is_lex_positive(v_rho):
         raise InconclusiveError("tail does not shrink: nu %r" % (v_rho,))
-    depth = budget.inv_depth
-    acc = HahnStream.single((0,) * len(A), c.tower.one)
-    power = acc
+    power = HahnStream.single((0,) * len(A), c.tower.one)
+    segs = list(power.segments)
+    cert = vscale(_INV_DEPTH + 1, v_rho)
     neg_rho = neg(rho)
-    for _ in range(depth):
+    for _ in range(_INV_DEPTH):
         power = mul(power, neg_rho, tight)
+        segs.extend(power.segments)
+        cert = lex_min(cert, power.cert)
         if power.is_structurally_zero:
-            # anything further lies at or past power.cert, which the
-            # accumulated certificate already covers
-            acc = add(acc, power)
+            # anything further lies at or past power.cert
             break
-        acc = add(acc, power)
-    cap = vscale(depth + 1, v_rho)
-    acc = _cap_cert(acc, cap)
-    return _compact(term_mul(acc, cinv, negA), budget)
+    return _compact(_term_segments(segs, cinv, negA), vadd(cert, negA),
+                    budget)
 
 
 def _flatten(s, budget):

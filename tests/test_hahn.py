@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from monoval import hahn
 from monoval.coeff import GroundField, Tower
 from monoval.errors import InconclusiveError
 from monoval.hahn import (
@@ -308,7 +309,7 @@ def test_inverse_general_certified_prefix():
     one = Q2.one
     s = HahnStream((FiniteTerms((((0, 0), one), ((0, 1), one),
                                  ((0, 2), one))),))
-    inv = inverse(s, Budget(max_terms=200, inv_depth=8))
+    inv = inverse(s, Budget(max_terms=200))
     # 1/(1+z+z^2) = 1 - z + z^3 - z^4 + z^6 - ...
     want = {(0, 0): 1, (0, 1): -1, (0, 3): 1, (0, 4): -1, (0, 6): 1}
     got = dict(first_terms(inv, 5, BIG))
@@ -509,6 +510,58 @@ def test_families_two_steps_apart_partly_cancel_over_q():
         APFamily((2, 0), (1, 0), three_halves, 0, half, None))
 
 
+def test_mul_by_a_factor_that_is_zero_below_its_certificate():
+    one = Q2.one
+    zero = HahnStream(())
+    hidden = HahnStream((), (0, 5))
+    pair = HahnStream((FiniteTerms((((1, 0), one), ((1, 1), one))),))
+    family = HahnStream((FiniteTerms((((0, 0), one),)),
+                         APFamily((0, 1), (0, 1), one, 0, Q2.from_int(2))))
+    for other in (pair, hidden, family, HahnStream.single((3, 1), one)):
+        for p in (mul(zero, other), mul(other, zero)):
+            assert p.is_structurally_zero and p.cert is INFINITY
+    for p in (mul(hidden, pair), mul(pair, hidden)):
+        assert p.is_structurally_zero and p.cert == (1, 5)
+    assert mul(hidden, HahnStream((), (2, 0))).cert == (2, 5)
+    p = mul(HahnStream.single((3, 1), one), hidden)
+    assert p.is_structurally_zero and p.cert == (3, 6)
+    p = mul(family, hidden)
+    assert p.is_structurally_zero and p.cert == (0, 5)
+
+
+def test_family_box_certificate_counts_nonzero_terms():
+    # over F5 the index rule i * 2^i vanishes at i = 5, 10, ...: the
+    # 12th nonzero term is index 14, so the box of 12 terms a side is
+    # certified below (0,15) + (1,0); with max_terms 5 the sixth product
+    # exponent, (1,6), is the first one cut
+    fa = APFamily((0, 1), (0, 1), F5U.one, 1, F5U.from_int(2))
+    fb = APFamily((1, 0), (0, 2), F5U.from_int(3), 2, F5U.gen("u3"))
+    a, b = HahnStream((fa,)), HahnStream((fb,))
+    assert mul(a, b).cert == (1, 15)
+    p = mul(a, b, Budget(max_terms=5))
+    assert p.cert == (1, 6)
+    assert len(first_terms(p, 5)) == 5
+
+
+def test_heavy_ratio_family_is_cut_to_a_short_prefix(monkeypatch):
+    # a ratio that is not a monomial quotient makes each further term
+    # cost a growing gcd, so the product keeps 8 terms of the family
+    # and is certified below the ninth; without that cut it stays exact
+    qu = Tower(GroundField.rationals(), ("u",))
+    u = qu.gen("u")
+    fam = HahnStream((APFamily((0, 1), (0, 1), qu.one, 0,
+                               (u + qu.one) / (u + qu.from_int(2))),))
+    one_plus = HahnStream((FiniteTerms((((0, 0), qu.one),
+                                        ((1, 0), qu.one))),))
+    p = mul(fam, one_plus)
+    assert p.cert == (0, 9)
+    assert len(p.segments) == 1 and len(p.segments[0].terms) == 8
+    monkeypatch.setattr(hahn, "_hostile", lambda seg: False)
+    p = mul(fam, one_plus)
+    assert p.cert is INFINITY
+    assert [type(seg) for seg in p.segments] == [APFamily, APFamily]
+
+
 def test_nu_of_product_is_sum_of_nus():
     rng = random.Random(161803)
     checked = 0
@@ -559,7 +612,7 @@ def test_inverse_roundtrip_certified_leading():
         s, es, _ = _random_stream(rng, tower, allow_family=False)
         if not es:
             continue
-        inv = inverse(s, Budget(max_terms=100, inv_depth=6))
+        inv = inverse(s, Budget(max_terms=100))
         p = mul(s, inv, Budget(max_terms=400))
         rank = len(next(iter(es)))
         assert leading_term(p, BIG) == ((0,) * rank, tower.one)

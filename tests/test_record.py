@@ -14,10 +14,10 @@ def test_records_compare_and_hash_by_their_fields():
     # same fields, other class: not equal
     assert Monoidal(3, 0, 2) != AddRow(3, 0, 2)
     assert hash(Monoidal(3, 0, 2)) == hash((3, 0, 2))
-    assert hash(Budget(max_terms=8)) == hash((8, None, 16))
-    assert len({Budget(), Budget(256, None, 16), Budget(64)}) == 2
+    assert hash(Budget(max_terms=8)) == hash((8, None))
+    assert len({Budget(), Budget(256, None), Budget(64)}) == 2
     assert repr(Budget(lex_ceiling=(3,))) == \
-        "Budget(max_terms=256, lex_ceiling=(3,), inv_depth=16)"
+        "Budget(max_terms=256, lex_ceiling=(3,))"
 
 
 def test_records_are_immutable():
@@ -32,9 +32,9 @@ def test_records_are_immutable():
 
 
 def test_replace_changes_fields_and_reruns_the_checks():
-    b = Budget(max_terms=8, inv_depth=4)
-    assert b.replace(max_terms=64) == Budget(64, None, 4)
-    assert b == Budget(8, None, 4)
+    b = Budget(max_terms=8, lex_ceiling=(4,))
+    assert b.replace(max_terms=64) == Budget(64, (4,))
+    assert b == Budget(8, (4,))
     with pytest.raises(TypeError):
         b.replace(depth=3)
     fam = APFamily((1, 0), (0, 1), 1)
